@@ -317,24 +317,25 @@ impl MintBackend {
         let mut approx_spans = Vec::new();
         let mut matched_segments = 0;
         // Segments live in the sealed-bloom map and, for a deployment merged
-        // incrementally, in the per-shard partial-bloom slots as well.
-        let keys = self.blooms.keys().chain(
-            self.partial_blooms
-                .keys()
-                .filter(|key| !self.blooms.contains_key(*key)),
-        );
-        for key in keys {
-            let (node, topo_id) = key;
-            let sealed_hit = self
-                .blooms
-                .get(key)
-                .is_some_and(|blooms| blooms.iter().any(|b| b.contains(&trace_id.as_u128())));
-            let partial_hit = sealed_hit
-                || self
-                    .partial_blooms
-                    .get(key)
-                    .is_some_and(|slots| slots.values().any(|b| b.contains(&trace_id.as_u128())));
-            if !partial_hit {
+        // incrementally, in the per-shard partial-bloom slots as well; a key
+        // in both maps is one segment.  Each map is walked by entry, so a
+        // key is hashed again only to look it up in the *other* map.
+        let id = trace_id.as_u128();
+        let in_slots = |slots: &BTreeMap<usize, Arc<BloomFilter>>| {
+            slots.values().any(|bloom| bloom.contains(&id))
+        };
+        let sealed = self.blooms.iter().map(|(key, sealed)| {
+            let hit = sealed.iter().any(|bloom| bloom.contains(&id))
+                || self.partial_blooms.get(key).is_some_and(in_slots);
+            (key, hit)
+        });
+        let partial_only = self
+            .partial_blooms
+            .iter()
+            .filter(|(key, _)| !self.blooms.contains_key(*key))
+            .map(|(key, slots)| (key, in_slots(slots)));
+        for ((node, topo_id), hit) in sealed.chain(partial_only) {
+            if !hit {
                 continue;
             }
             matched_segments += 1;
@@ -376,7 +377,10 @@ impl MintBackend {
                     service: span_pattern.service.clone(),
                     name: span_pattern.name.clone(),
                     kind: span_pattern.kind.label().to_owned(),
-                    duration_range: format!("({lower:.0}, {upper:.0}]"),
+                    // Both bounds are whole microseconds held as `f64`;
+                    // as integers they print the digits `{:.0}` would,
+                    // without the float formatter (a sixth of the query).
+                    duration_range: format!("({}, {}]", lower as u128, upper as u128),
                     duration_lower_us: lower,
                     duration_upper_us: upper,
                     attributes: catalog.masked_attributes(span_pattern_id),
@@ -509,6 +513,10 @@ mod tests {
                     assert!(!a.is_empty());
                     assert!(a.matched_segments >= 1);
                     assert!(!a.services().is_empty());
+                    for span in &a.spans {
+                        let (lower, upper) = (span.duration_lower_us, span.duration_upper_us);
+                        assert_eq!(span.duration_range, format!("({lower:.0}, {upper:.0}]"));
+                    }
                 }
                 QueryResult::Exact(_) => panic!("nothing was sampled"),
                 QueryResult::Miss => panic!("mint never misses"),

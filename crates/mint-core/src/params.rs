@@ -205,8 +205,14 @@ impl ParamsBuffer {
     }
 
     /// Removes and returns the block for `trace_id`, if still buffered.
+    ///
+    /// The search runs from the newest block: a trace is marked sampled right
+    /// after its sub-trace was ingested, so its block is at or near the back.
+    /// Should one trace id be buffered more than once (the same trace ingested
+    /// again), each call takes the most recently pushed of its blocks and
+    /// leaves the older ones, which still leave oldest-first by eviction.
     pub fn take(&mut self, trace_id: TraceId) -> Option<TraceParams> {
-        let idx = self.blocks.iter().position(|b| b.trace_id == trace_id)?;
+        let idx = self.blocks.iter().rposition(|b| b.trace_id == trace_id)?;
         let block = self.blocks.remove(idx)?;
         self.used_bytes -= block.wire_size();
         Some(block)
@@ -214,7 +220,7 @@ impl ParamsBuffer {
 
     /// Whether a block for `trace_id` is currently buffered.
     pub fn contains(&self, trace_id: TraceId) -> bool {
-        self.blocks.iter().any(|b| b.trace_id == trace_id)
+        self.blocks.iter().rev().any(|b| b.trace_id == trace_id)
     }
 
     /// Iterates over buffered blocks from oldest to newest.
@@ -327,6 +333,28 @@ mod tests {
         assert!(!buffer.contains(TraceId::from_u128(5)));
         assert!(buffer.take(TraceId::from_u128(5)).is_none());
         assert_eq!(buffer.len(), 1);
+    }
+
+    #[test]
+    fn take_prefers_the_newest_block_of_a_trace_buffered_twice() {
+        let mut buffer = ParamsBuffer::new(10_000);
+        let (old, filler, new) = (block(7, 1, 10), block(8, 1, 10), block(7, 2, 10));
+        let total = old.wire_size() + filler.wire_size() + new.wire_size();
+        buffer.push(old.clone());
+        buffer.push(filler.clone());
+        buffer.push(new.clone());
+        assert_eq!(buffer.used_bytes(), total);
+
+        assert_eq!(buffer.take(TraceId::from_u128(7)), Some(new.clone()));
+        assert_eq!(buffer.used_bytes(), total - new.wire_size());
+        assert!(buffer.contains(TraceId::from_u128(7)));
+        // What is left keeps its FIFO order: the older block is still first.
+        let order: Vec<usize> = buffer.iter().map(TraceParams::len).collect();
+        assert_eq!(order, [old.len(), filler.len()]);
+
+        assert_eq!(buffer.take(TraceId::from_u128(7)), Some(old));
+        assert!(!buffer.contains(TraceId::from_u128(7)));
+        assert_eq!(buffer.used_bytes(), filler.wire_size());
     }
 
     #[test]

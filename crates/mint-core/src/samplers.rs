@@ -7,6 +7,7 @@
 //! paradigm, plus a deterministic head sampler for compatibility experiments.
 
 use crate::config::MintConfig;
+use crate::intern::BuildFxHasher;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use trace_model::{AttrValue, Span, TraceId};
@@ -40,41 +41,121 @@ impl SamplerDecision {
     }
 }
 
-/// Streaming quantile tracker: keeps a bounded reservoir of recent values
-/// and reports the configured quantile over it.
-#[derive(Debug, Clone)]
+/// Length of every sliding window the symptom sampler keeps: the most recent
+/// values of one numeric attribute, or the most recent durations of one
+/// (service, operation).
+const SYMPTOM_WINDOW: usize = 512;
+
+/// A window reports no quantile until it holds this many values.
+const MIN_HISTORY: usize = 8;
+
+/// Sliding-window order statistics over the last [`SYMPTOM_WINDOW`] values.
+///
+/// `ring` holds the window in arrival order (once full, `cursor` is the
+/// oldest slot) and `sorted` holds the same multiset of values in
+/// `f64::total_cmp` order, so a quantile is one indexed read and an update is
+/// two binary searches plus one `memmove` of at most the window.  Ordering by
+/// `total_cmp` makes the order total on *every* input: a NaN has a place in
+/// the window like any other value, and the value an eviction looks for is
+/// found by bit pattern.
+#[derive(Debug, Clone, Default)]
 struct QuantileTracker {
-    values: Vec<f64>,
-    capacity: usize,
+    ring: Vec<f64>,
+    sorted: Vec<f64>,
     cursor: usize,
 }
 
 impl QuantileTracker {
-    fn new(capacity: usize) -> Self {
-        QuantileTracker {
-            values: Vec::with_capacity(capacity.min(64)),
-            capacity: capacity.max(8),
-            cursor: 0,
-        }
-    }
-
+    /// Adds `value`, evicting the oldest value once the window is full.
     fn observe(&mut self, value: f64) {
-        if self.values.len() < self.capacity {
-            self.values.push(value);
+        let at = self.sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+        if self.ring.len() < SYMPTOM_WINDOW {
+            self.ring.push(value);
+            self.sorted.insert(at, value);
+            return;
+        }
+        let evicted = std::mem::replace(&mut self.ring[self.cursor], value);
+        self.cursor = (self.cursor + 1) % SYMPTOM_WINDOW;
+        // `sorted[out]` is the first value with `evicted`'s bit pattern.
+        // Close that gap and open one at `at` by moving only what lies
+        // between the two.
+        let out = self
+            .sorted
+            .partition_point(|x| x.total_cmp(&evicted).is_lt());
+        if at > out {
+            self.sorted.copy_within(out + 1..at, out);
+            self.sorted[at - 1] = value;
         } else {
-            self.values[self.cursor] = value;
-            self.cursor = (self.cursor + 1) % self.capacity;
+            self.sorted.copy_within(at..out, at + 1);
+            self.sorted[at] = value;
         }
     }
 
+    /// The `q`-quantile of the window (nearest rank), once it holds at least
+    /// [`MIN_HISTORY`] values.
     fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.len() < 8 {
+        if self.sorted.len() < MIN_HISTORY {
             return None;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted.get(rank).copied()
+        let rank = ((self.sorted.len() as f64 - 1.0) * q).round() as usize;
+        self.sorted.get(rank).copied()
+    }
+
+    /// Whether `value` is a clear outlier against the window as it stood
+    /// before `value` arrived (more than twice its `q`-quantile, so ordinary
+    /// jitter does not inflate the sampled fraction); then adds `value`.
+    fn is_outlier_then_observe(&mut self, value: f64, q: f64) -> bool {
+        let outlier = self.quantile(q).is_some_and(|p| value > p * 2.0);
+        self.observe(value);
+        outlier
+    }
+}
+
+/// One window per key, looked up by borrowed `&str`.  Hashed without
+/// per-process random state, like the interner's maps, so the same spans cost
+/// the same in every run.
+type History = HashMap<String, QuantileTracker, BuildFxHasher>;
+
+/// Starts the window of a key seen for the first time.  A one-value window
+/// has no quantile yet, so the first value is never an outlier.
+#[cold]
+fn start_history(history: &mut History, key: &str, first: f64) {
+    let mut tracker = QuantileTracker::default();
+    tracker.observe(first);
+    history.insert(key.to_owned(), tracker);
+}
+
+/// A lowered copy this much larger than any ordinary attribute value is
+/// released after use rather than kept for the next value.
+const LOWERED_KEEP_BYTES: usize = 64 * 1024;
+
+/// ASCII-case-insensitive search for any of a fixed set of words:
+/// `text.to_ascii_lowercase().contains(word)` for some word, with the lowered
+/// copy written into a buffer that is reused from one text to the next.
+#[derive(Debug, Clone)]
+struct WordMatcher {
+    /// The words, ASCII-lowercased.
+    words: Vec<String>,
+    lowered: String,
+}
+
+impl WordMatcher {
+    fn new(words: &[String]) -> Self {
+        WordMatcher {
+            words: words.iter().map(|w| w.to_ascii_lowercase()).collect(),
+            lowered: String::new(),
+        }
+    }
+
+    fn matches(&mut self, text: &str) -> bool {
+        self.lowered.clear();
+        self.lowered.push_str(text);
+        self.lowered.make_ascii_lowercase();
+        let found = self.words.iter().any(|w| self.lowered.contains(w.as_str()));
+        if self.lowered.capacity() > LOWERED_KEEP_BYTES {
+            self.lowered = String::new();
+        }
+        found
     }
 }
 
@@ -84,10 +165,13 @@ impl QuantileTracker {
 /// their attribute's recent history) as sampled.
 #[derive(Debug, Clone)]
 pub struct SymptomSampler {
-    abnormal_words: Vec<String>,
+    abnormal_words: WordMatcher,
     quantile: f64,
-    numeric_history: HashMap<String, QuantileTracker>,
-    duration_history: HashMap<String, QuantileTracker>,
+    /// Attribute key → recent values.
+    numeric_history: History,
+    /// Service → operation → recent durations.  Two levels, so no separator
+    /// can make two (service, operation) pairs share a window.
+    duration_history: HashMap<String, History, BuildFxHasher>,
     observed_spans: u64,
     triggered: u64,
 }
@@ -96,60 +180,49 @@ impl SymptomSampler {
     /// Creates a sampler from the Mint configuration.
     pub fn new(config: &MintConfig) -> Self {
         SymptomSampler {
-            abnormal_words: config
-                .abnormal_words
-                .iter()
-                .map(|w| w.to_ascii_lowercase())
-                .collect(),
+            abnormal_words: WordMatcher::new(&config.abnormal_words),
             quantile: config.symptom_quantile,
-            numeric_history: HashMap::new(),
-            duration_history: HashMap::new(),
+            numeric_history: HashMap::default(),
+            duration_history: HashMap::default(),
             observed_spans: 0,
             triggered: 0,
         }
     }
 
     /// Observes one span and reports whether it is symptomatic.
+    ///
+    /// Every numeric value joins its window whether or not the span is
+    /// already symptomatic; steady state (every key seen before) allocates
+    /// nothing.
     pub fn observe_span(&mut self, span: &Span) -> bool {
         self.observed_spans += 1;
         let mut symptomatic = span.status().is_error();
 
         // Latency outlier relative to the (service, operation)'s history.
-        let op_key = format!("{}::{}", span.service(), span.name());
         let duration = span.duration_us() as f64;
-        let tracker = self
+        match self
             .duration_history
-            .entry(op_key)
-            .or_insert_with(|| QuantileTracker::new(512));
-        if let Some(p) = tracker.quantile(self.quantile) {
-            // Require a clear outlier (well above the P95 of recent history)
-            // so ordinary jitter does not inflate the sampled fraction.
-            if duration > p * 2.0 {
-                symptomatic = true;
+            .get_mut(span.service())
+            .and_then(|operations| operations.get_mut(span.name()))
+        {
+            Some(tracker) => {
+                symptomatic |= tracker.is_outlier_then_observe(duration, self.quantile)
             }
+            None => self.start_duration_history(span, duration),
         }
-        tracker.observe(duration);
 
         for (key, value) in span.attributes().iter() {
             match value {
-                AttrValue::Str(s) => {
-                    let lower = s.to_ascii_lowercase();
-                    if self.abnormal_words.iter().any(|w| lower.contains(w)) {
-                        symptomatic = true;
-                    }
-                }
+                // A span that is already symptomatic needs no word search.
+                AttrValue::Str(s) => symptomatic = symptomatic || self.abnormal_words.matches(s),
                 AttrValue::Int(_) | AttrValue::Float(_) => {
                     let v = value.as_f64().unwrap_or(0.0);
-                    let tracker = self
-                        .numeric_history
-                        .entry(key.to_owned())
-                        .or_insert_with(|| QuantileTracker::new(512));
-                    if let Some(p) = tracker.quantile(self.quantile) {
-                        if v > p * 2.0 {
-                            symptomatic = true;
+                    match self.numeric_history.get_mut(key) {
+                        Some(tracker) => {
+                            symptomatic |= tracker.is_outlier_then_observe(v, self.quantile)
                         }
+                        None => start_history(&mut self.numeric_history, key, v),
                     }
-                    tracker.observe(v);
                 }
                 AttrValue::Bool(_) => {}
             }
@@ -158,6 +231,15 @@ impl SymptomSampler {
             self.triggered += 1;
         }
         symptomatic
+    }
+
+    #[cold]
+    fn start_duration_history(&mut self, span: &Span, first: f64) {
+        let operations = self
+            .duration_history
+            .entry(span.service().to_owned())
+            .or_default();
+        start_history(operations, span.name(), first);
     }
 
     /// Number of spans observed so far.
@@ -321,6 +403,108 @@ mod tests {
             .attr("queue.depth", AttrValue::Int(10_000))
             .build();
         assert!(sampler.observe_span(&spike));
+    }
+
+    fn span_of(service: &str, name: &str, duration: u64, load: AttrValue) -> Span {
+        Span::builder(TraceId::from_u128(1), SpanId::from_u64(1))
+            .service(service)
+            .name(name)
+            .duration_us(duration)
+            .attr("load", load)
+            .build()
+    }
+
+    /// NaN, both infinities, both zeros, duplicates and ordinary values.
+    fn hostile_value(i: usize) -> f64 {
+        match i % 7 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => -f64::NAN,
+            _ => (i * 2_654_435_761 % 97) as f64 - 40.0,
+        }
+    }
+
+    #[test]
+    fn sorted_view_stays_the_multiset_of_the_ring() {
+        let mut tracker = QuantileTracker::default();
+        for i in 0..3 * SYMPTOM_WINDOW + 5 {
+            tracker.observe(hostile_value(i));
+            let mut expected = tracker.ring.clone();
+            expected.sort_by(f64::total_cmp);
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&tracker.sorted), bits(&expected), "after {i} values");
+        }
+        assert_eq!(tracker.ring.len(), SYMPTOM_WINDOW);
+    }
+
+    #[test]
+    fn non_finite_values_neither_panic_nor_flag() {
+        let mut config = MintConfig::default();
+        config.abnormal_words.clear();
+        let mut sampler = SymptomSampler::new(&config);
+        // The parent's clone-and-sort window panics in here: `partial_cmp`
+        // is not a total order once NaN and numbers share a window.
+        for i in 0..3 * SYMPTOM_WINDOW {
+            let flagged = sampler.observe_span(&span_of(
+                "svc",
+                "op",
+                100,
+                AttrValue::Float(hostile_value(i)),
+            ));
+            assert!(
+                !(hostile_value(i).is_nan() && flagged),
+                "NaN flagged at {i}"
+            );
+        }
+        // Ordinary values push every hostile one out again, each eviction
+        // finding its value; after that the window judges as if they had
+        // never been there.
+        for _ in 0..SYMPTOM_WINDOW {
+            assert!(!sampler.observe_span(&span_of("svc", "op", 100, AttrValue::Float(10.0))));
+        }
+        assert!(!sampler.observe_span(&span_of("svc", "op", 100, AttrValue::Float(f64::NAN))));
+        assert!(sampler.observe_span(&span_of("svc", "op", 100, AttrValue::Float(10_000.0))));
+    }
+
+    #[test]
+    fn operations_with_a_separator_in_their_names_keep_their_own_windows() {
+        let mut config = MintConfig::default();
+        config.abnormal_words.clear();
+        let mut sampler = SymptomSampler::new(&config);
+        for _ in 0..100 {
+            sampler.observe_span(&span_of("a::b", "c", 100, AttrValue::Bool(true)));
+        }
+        // A "{service}::{name}" key would judge this span against the
+        // hundred 100 us spans of ("a::b", "c") and flag it.
+        assert!(!sampler.observe_span(&span_of("a", "b::c", 100_000, AttrValue::Bool(true))));
+        assert!(sampler.observe_span(&span_of("a::b", "c", 100_000, AttrValue::Bool(true))));
+    }
+
+    #[test]
+    fn abnormal_words_match_like_lowercase_then_contains() {
+        let with_words = |words: &[&str]| MintConfig {
+            abnormal_words: words.iter().map(|w| w.to_string()).collect(),
+            ..MintConfig::default()
+        };
+        let mut sampler = SymptomSampler::new(&with_words(&["TimeOut", "défaut"]));
+        let mut flagged = |text: &str| sampler.observe_span(&span(100, 200, text));
+        assert!(flagged("read tIMEoUT"));
+        assert!(flagged("DÉFAUT? no: défaut"));
+        // ASCII folding only: `É` is not `é`.
+        assert!(!flagged("DÉFAUT"));
+        assert!(!flagged("time out"));
+        // A value far longer than the kept buffer is searched all the same.
+        assert!(flagged(&format!(
+            "{}timeout",
+            "x".repeat(2 * LOWERED_KEEP_BYTES)
+        )));
+        assert!(!flagged("ok"));
+
+        // The empty word is a substring of everything, the empty string included.
+        assert!(SymptomSampler::new(&with_words(&[""])).observe_span(&span(100, 200, "")));
     }
 
     #[test]

@@ -12,8 +12,16 @@
 //!   state between publications a read touches one atomic load and its
 //!   thread-cached `Arc` — no lock at all.
 //! * **Writers never block readers meaningfully.**  The writer swaps the
-//!   slot pointer under the mutex and drops the previous generation *after*
-//!   unlocking, so a reader can never wait on a deallocation.
+//!   slot pointer under the mutex and retires the previous generation
+//!   *after* unlocking, so a reader can never wait on a deallocation.
+//! * **Readers never free a generation.**  The writer keeps a reference to
+//!   every generation it has retired and drops it, on its own thread, at the
+//!   first publication after the last reader let go.  A generation is
+//!   thousands of heap blocks allocated by the writer; freed by a reader
+//!   they go back through the allocator's cross-thread path (on glibc: the
+//!   writer's arena lock once per block, and foreign blocks left in the
+//!   reader's thread cache), which stalled reader, router and worker on
+//!   futexes for whole streams at a time.
 //! * **Readers never observe a half-merged state.**  A generation is built
 //!   from [`MintBackend::queryable_clone`] — an `Arc`-structural copy taken
 //!   only at reconcile boundaries — and is immutable from the moment it is
@@ -24,8 +32,8 @@
 //!
 //! This is the classic RCU/read-copy-update shape (McKenney's read-mostly
 //! guidance, PAPERS.md) expressed in safe Rust: `Arc` reference counting
-//! stands in for grace periods — an old generation is freed exactly when
-//! the last reader drops it.
+//! stands in for grace periods — an old generation is freed by the writer
+//! once the last reader has dropped it.
 //!
 //! # Equivalence boundary
 //!
@@ -111,6 +119,10 @@ fn lock_slot(slot: &Mutex<Arc<BackendSnapshot>>) -> MutexGuard<'_, Arc<BackendSn
 pub(crate) struct SnapshotPublisher {
     publication: Arc<Publication>,
     generation: u64,
+    /// Generations taken out of the slot that a reader may still hold.  The
+    /// reference kept here is what makes the writer, never a reader, the
+    /// thread that frees them.
+    retired: Vec<Arc<BackendSnapshot>>,
 }
 
 impl Default for SnapshotPublisher {
@@ -125,6 +137,7 @@ impl Default for SnapshotPublisher {
                 })),
             }),
             generation: 0,
+            retired: Vec::new(),
         }
     }
 }
@@ -145,9 +158,9 @@ impl SnapshotPublisher {
     }
 
     /// Publishes `backend` as the next generation: one `Arc`-structural
-    /// clone, one pointer swap under the slot lock, and the previous
-    /// generation is released *after* unlocking so no reader ever waits on
-    /// a deallocation.
+    /// clone and one pointer swap under the slot lock.  After unlocking, the
+    /// retired generations no reader holds any more are freed here, and the
+    /// previous generation joins the retired ones.
     fn publish(&mut self, backend: &MintBackend) {
         self.generation += 1;
         let next = Arc::new(BackendSnapshot {
@@ -160,7 +173,10 @@ impl SnapshotPublisher {
             self.publication.version.fetch_add(1, Ordering::Release);
             previous
         };
-        drop(previous);
+        // A count of one is this list's own reference: no reader holds the
+        // generation, and none can get it back, because it left the slot.
+        self.retired.retain(|old| Arc::strong_count(old) > 1);
+        self.retired.push(previous);
     }
 
     /// Publishes the current state (so a new handle is never staler than
@@ -276,6 +292,36 @@ mod tests {
             publisher.generation, 2,
             "published after the last handle was dropped"
         );
+    }
+
+    #[test]
+    fn retired_generations_are_freed_by_the_publisher_not_the_reader() {
+        let mut publisher = SnapshotPublisher::default();
+        let backend = MintBackend::new();
+        let handle = publisher.subscribe(&backend);
+        let first = Arc::downgrade(&handle.snapshot());
+
+        publisher.publish_if_subscribed(&backend);
+        // The reader moves on to generation 2 and lets generation 1 go; the
+        // publisher's reference keeps it alive, so the reader freed nothing.
+        assert_eq!(handle.generation(), 2);
+        assert!(first.upgrade().is_some(), "the reader freed a generation");
+
+        // The next publication finds generation 1 unreferenced and frees it.
+        publisher.publish_if_subscribed(&backend);
+        assert!(first.upgrade().is_none(), "a retired generation leaked");
+        assert_eq!(publisher.retired.len(), 1);
+
+        // A generation a reader still pins stays retired until it is let go.
+        let pinned = Arc::downgrade(&handle.snapshot());
+        publisher.publish_if_subscribed(&backend);
+        publisher.publish_if_subscribed(&backend);
+        assert_eq!(publisher.retired.len(), 2, "a pinned generation was freed");
+        assert!(pinned.upgrade().is_some());
+        assert_eq!(handle.generation(), 5);
+        publisher.publish_if_subscribed(&backend);
+        assert!(pinned.upgrade().is_none());
+        assert_eq!(publisher.retired.len(), 1);
     }
 
     #[test]

@@ -410,15 +410,22 @@ impl StringTemplate {
     /// Renders the template with every variable slot masked as `<*>` — the
     /// representation shown in approximate traces (Fig. 10 of the paper).
     pub fn masked(&self) -> String {
-        let parts: Vec<&str> = self
-            .tokens
-            .iter()
-            .map(|t| match t {
+        fn part(token: &TemplateToken) -> &str {
+            match token {
                 TemplateToken::Const(s) => s.as_str(),
                 TemplateToken::Var => "<*>",
-            })
-            .collect();
-        parts.join(" ")
+            }
+        }
+        // One allocation: approximate queries render every template of
+        // every span they return.
+        let mut masked = String::with_capacity(self.tokens.iter().map(|t| part(t).len() + 1).sum());
+        for (i, token) in self.tokens.iter().enumerate() {
+            if i > 0 {
+                masked.push(' ');
+            }
+            masked.push_str(part(token));
+        }
+        masked
     }
 
     /// Size in bytes of the template when stored in the pattern library.
