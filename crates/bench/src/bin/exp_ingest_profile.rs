@@ -31,11 +31,11 @@
 
 use bench::ingest_json::{self, JsonObj};
 use bench::{print_table, ExpConfig};
-use mint_core::span_parser::{PrefixIndex, StringAttributeParser, TemplateToken};
+use mint_core::span_parser::{ParseScratch, PrefixIndex, StringAttributeParser, TemplateToken};
 use mint_core::{
     tokenize, tokenize_borrowed, tokenize_into, value_fingerprint, InternedPrefixIndex,
-    InternedTemplate, Interner, MintConfig, MintDeployment, PrefilterStats, SamplingMode,
-    StreamingDeployment, StringTemplate, TokenMaskTable,
+    InternedTemplate, Interner, MintConfig, MintDeployment, PackedVars, PrefilterStats,
+    SamplingMode, StreamingDeployment, StringTemplate, TokenMaskTable,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -618,12 +618,15 @@ fn main() {
     });
     let (_, after) = measure(|| {
         let mut hits = 0usize;
-        let mut params: Vec<String> = Vec::new();
+        let (mut ranges, mut vars) = (Vec::new(), PackedVars::default());
         for _ in 0..reps {
             for &(value_idx, template_idx) in &pairs {
-                hits += templates[template_idx]
-                    .match_and_extract_into(&borrowed_tokens[value_idx], &mut params)
-                    as usize;
+                vars.clear();
+                hits += templates[template_idx].match_and_pack(
+                    &borrowed_tokens[value_idx],
+                    &mut ranges,
+                    &mut vars,
+                ) as usize;
             }
         }
         black_box(hits)
@@ -656,11 +659,12 @@ fn main() {
     let mut match_path_stats = PrefilterStats::default();
     let (current_templates, after) = measure(|| {
         let mut count = 0usize;
-        let mut token_buffer: Vec<&str> = Vec::new();
+        let mut scratch = ParseScratch::default();
         for _ in 0..reps {
             let mut parser = StringAttributeParser::new(0.8);
             for value in &values {
-                black_box(parser.parse_with_buffer(value, &mut token_buffer).0);
+                scratch.clear_vars();
+                black_box(parser.parse_into(value, &mut scratch));
             }
             count = parser.template_count();
             match_path_stats = parser.prefilter_stats();

@@ -5,11 +5,10 @@ use crate::config::MintConfig;
 use crate::params::{ParamsBuffer, TraceParams};
 use crate::samplers::{EdgeCaseSampler, SymptomSampler};
 use crate::span_parser::{PatternCatalog, SpanParser};
-use crate::trace_parser::{TopoPatternLibrary, TraceParser};
+use crate::trace_parser::{ParsedSpan, TopoPatternLibrary, TraceParser};
 use mint_bloom::BloomFilter;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use trace_model::{PatternId, Span, SpanId, SubTrace, TraceId, WireSize};
+use trace_model::{PatternId, Span, SubTrace, TraceId, WireSize};
 
 /// Counters describing the work an agent has done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,6 +45,9 @@ pub struct IngestOutcome {
     /// The amortized metadata-mounting cost of this sub-trace: the share of
     /// one full Bloom filter upload attributable to this trace id.
     pub bloom_mounting_bytes: u64,
+    /// Wire size of the ingested spans, summed — sized here, once, so the
+    /// caller can account the whole trace without sizing them again.
+    pub span_bytes: u64,
 }
 
 /// A per-node Mint agent.
@@ -66,6 +68,9 @@ pub struct MintAgent {
     edge_case: EdgeCaseSampler,
     stats: AgentStats,
     bloom_amortized_bytes: u64,
+    /// The spans of the sub-trace being ingested as the topology encoder
+    /// reads them, by position (reused across sub-traces).
+    parsed: Vec<ParsedSpan>,
 }
 
 impl MintAgent {
@@ -89,6 +94,7 @@ impl MintAgent {
             edge_case: EdgeCaseSampler::new(&config),
             stats: AgentStats::default(),
             bloom_amortized_bytes,
+            parsed: Vec::new(),
             config,
         }
     }
@@ -109,17 +115,30 @@ impl MintAgent {
         self.span_parser.warm_up(&spans[..limit]);
     }
 
-    /// Ingests the sub-trace observed on this node for one request.
+    /// Ingests the sub-trace observed on this node for one request.  An owned
+    /// convenience over [`Self::ingest_spans`].
     pub fn ingest_sub_trace(&mut self, sub_trace: &SubTrace) -> IngestOutcome {
-        self.stats.sub_traces += 1;
-        self.stats.raw_bytes += sub_trace.wire_size() as u64;
+        self.ingest_spans(sub_trace.trace_id(), sub_trace.spans().iter())
+    }
 
-        let mut pattern_of: HashMap<SpanId, PatternId> = HashMap::with_capacity(sub_trace.len());
-        let mut block = TraceParams::new(sub_trace.trace_id());
+    /// Ingests the spans this node observed for trace `trace_id`, borrowed
+    /// from wherever they live (an owned [`SubTrace`], or a
+    /// [`SubTraceView`](trace_model::SubTraceView) of the whole trace).
+    pub fn ingest_spans<'a>(
+        &mut self,
+        trace_id: TraceId,
+        spans: impl ExactSizeIterator<Item = &'a Span>,
+    ) -> IngestOutcome {
+        let mut block = TraceParams {
+            trace_id,
+            spans: Vec::with_capacity(spans.len()),
+        };
+        self.parsed.clear();
+        let mut span_bytes = 0;
         let mut new_span_patterns = 0;
         let mut symptom_sampled = false;
-        for span in sub_trace.spans() {
-            self.stats.spans_parsed += 1;
+        for span in spans {
+            span_bytes += span.wire_size();
             if self.symptom.observe_span(span) {
                 symptom_sampled = true;
             }
@@ -127,14 +146,20 @@ impl MintAgent {
             if is_new {
                 new_span_patterns += 1;
             }
-            pattern_of.insert(span.span_id(), pattern_id);
+            self.parsed.push(ParsedSpan {
+                span_id: span.span_id(),
+                parent_id: span.parent_id(),
+                pattern: pattern_id,
+            });
             block.spans.push(params);
         }
+        self.stats.sub_traces += 1;
+        self.stats.spans_parsed += block.spans.len() as u64;
+        // The sub-trace's wire size: envelope, node name, spans.
+        self.stats.raw_bytes += (16 + 2 + self.node.len() + span_bytes) as u64;
 
-        let topo_pattern = self.trace_parser.encode(sub_trace, &pattern_of);
-        let outcome = self
-            .topo_library
-            .observe(topo_pattern, sub_trace.trace_id());
+        let topo_pattern = self.trace_parser.encode_parsed(&self.parsed);
+        let outcome = self.topo_library.observe(topo_pattern, trace_id);
         let edge_case_sampled = self
             .edge_case
             .observe(outcome.match_count, self.topo_library.total_matches());
@@ -144,7 +169,7 @@ impl MintAgent {
         self.stats.evicted_blocks += self.params_buffer.evicted_blocks() - evicted_before;
 
         IngestOutcome {
-            trace_id: sub_trace.trace_id(),
+            trace_id,
             topo_id: outcome.topo_id,
             new_topo_pattern: outcome.is_new_pattern,
             new_span_patterns,
@@ -153,6 +178,7 @@ impl MintAgent {
             edge_case_sampled,
             topo_match_count: outcome.match_count,
             bloom_mounting_bytes: self.bloom_amortized_bytes,
+            span_bytes: span_bytes as u64,
         }
     }
 

@@ -19,7 +19,7 @@ use crate::trace_parser::TopoPattern;
 use mint_bloom::BloomFilter;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use trace_model::{SubTrace, Trace, TraceId, TraceSet, WireSize};
+use trace_model::{ServiceGroups, Trace, TraceSet, WireSize};
 
 /// Network-side accounting of everything the collector ships to the backend.
 #[derive(Debug, Clone, Default)]
@@ -157,6 +157,18 @@ pub(crate) fn batch_duration_s(min_start_us: u64, max_end_us: u64) -> u64 {
     }
 }
 
+/// The first sight of a service: the one place the ingest path owns a node
+/// name.
+fn add_agent<'a>(
+    agents: &'a mut HashMap<String, MintAgent>,
+    node: &str,
+    config: &MintConfig,
+) -> &'a mut MintAgent {
+    agents
+        .entry(node.to_owned())
+        .or_insert_with(|| MintAgent::new(node, config.clone()))
+}
+
 /// A full Mint deployment: one agent per service node, a collector and a
 /// backend.
 #[derive(Debug, Clone)]
@@ -172,6 +184,8 @@ pub struct MintDeployment {
     pub(crate) raw_trace_bytes: u64,
     duration_s: u64,
     pub(crate) warmed_up: bool,
+    /// Scratch for splitting each trace by service without cloning its spans.
+    groups: ServiceGroups,
 }
 
 impl MintDeployment {
@@ -190,6 +204,7 @@ impl MintDeployment {
             raw_trace_bytes: 0,
             duration_s: 0,
             warmed_up: false,
+            groups: ServiceGroups::new(),
         }
     }
 
@@ -249,7 +264,10 @@ impl MintDeployment {
         // Periodic pattern-library uploads over the simulated duration of
         // this batch, plus the final upload that persists at the backend.
         let intervals = (batch_duration_s / self.config.pattern_report_interval_s.max(1)).max(1);
-        for (node, agent) in &self.agents {
+        // Every agent also drains its partially filled Bloom filters, so
+        // every trace's metadata reaches the backend by the end of the
+        // reporting period.
+        for (node, agent) in &mut self.agents {
             let library_bytes = agent.library_upload_bytes();
             self.collector
                 .record_pattern_upload(library_bytes * intervals as usize);
@@ -260,17 +278,7 @@ impl MintDeployment {
                 .map(|(_, p, _)| p.clone())
                 .collect();
             self.backend.store_topo_patterns(node.clone(), patterns);
-        }
-        // Drain the partially filled Bloom filters so every trace's metadata
-        // reaches the backend by the end of the reporting period.
-        let nodes: Vec<String> = self.agents.keys().cloned().collect();
-        for node in nodes {
-            let drained = self
-                .agents
-                .get_mut(&node)
-                .map(|a| a.topo_library_mut().drain_partial_blooms())
-                .unwrap_or_default();
-            for (topo_id, bloom) in drained {
+            for (topo_id, bloom) in agent.topo_library_mut().drain_partial_blooms() {
                 self.collector.record_bloom_upload(&bloom);
                 self.backend.store_bloom(node.clone(), topo_id, bloom);
             }
@@ -334,14 +342,13 @@ impl MintDeployment {
     /// full agent → collector → backend path for it.  Unlike
     /// [`MintDeployment::process`] this performs no warm-up and no end-of-batch
     /// flush; sharded workers drive it directly.
+    ///
+    /// The trace is split by service as a borrowed view (span indices in
+    /// `groups`), in the lexicographic service order of
+    /// [`SubTrace::split_by_service`](trace_model::SubTrace::split_by_service),
+    /// so nothing of it is cloned and each span is sized exactly once, by the
+    /// agent that parses it.
     pub fn ingest_trace(&mut self, trace: &Trace) {
-        self.traces_processed += 1;
-        self.spans_processed += trace.len() as u64;
-        self.raw_trace_bytes += trace.wire_size() as u64;
-        self.process_trace(trace);
-    }
-
-    fn process_trace(&mut self, trace: &Trace) {
         let trace_id = trace.trace_id();
         let mut sampled = match self.config.sampling_mode {
             SamplingMode::All => true,
@@ -358,15 +365,21 @@ impl MintDeployment {
             SamplingMode::MintBiased => false,
         };
 
-        let sub_traces = SubTrace::split_by_service(trace);
-        let mut touched_nodes: Vec<String> = Vec::with_capacity(sub_traces.len());
-        for sub in &sub_traces {
-            let node = sub.node().to_owned();
-            let agent = self
-                .agents
-                .entry(node.clone())
-                .or_insert_with(|| MintAgent::new(node.clone(), self.config.clone()));
-            let outcome = agent.ingest_sub_trace(sub);
+        // `views` borrows `self.groups` alone; everything below touches the
+        // deployment's other fields directly.
+        let views = self.groups.split(trace);
+        let mut span_bytes = 0;
+        let mut touched_nodes = 0;
+        // mint-lint: allow(L004) — clones the view iterator (a cursor over `groups`), not a span: the second pass below re-walks the same split
+        for view in views.clone() {
+            let node = view.node();
+            let agent = match self.agents.get_mut(node) {
+                Some(agent) => agent,
+                None => add_agent(&mut self.agents, node, &self.config),
+            };
+            let outcome = agent.ingest_spans(trace_id, view.spans());
+            span_bytes += outcome.span_bytes;
+            touched_nodes += 1;
             if self.config.sampling_mode == SamplingMode::MintBiased
                 && (outcome.symptom_sampled || outcome.edge_case_sampled)
             {
@@ -381,28 +394,29 @@ impl MintDeployment {
                 .charge_bloom_bytes(outcome.bloom_mounting_bytes);
             if let Some(bloom) = outcome.flushed_bloom {
                 self.collector.record_bloom_upload(&bloom);
-                self.backend
-                    .store_bloom(node.clone(), outcome.topo_id, bloom);
+                self.backend.store_bloom(node, outcome.topo_id, bloom);
             }
-            touched_nodes.push(node);
         }
+        self.traces_processed += 1;
+        self.spans_processed += trace.len() as u64;
+        // The trace's wire size: its envelope plus every span.
+        self.raw_trace_bytes += 16 + span_bytes;
 
         if sampled {
             self.sampled_traces += 1;
             // The backend notifies every host to report the parameters of the
             // sampled trace (trace coherence, §4.2); a small control message
             // per touched node is charged as "other" traffic.
-            self.collector.record_other(32 * touched_nodes.len());
-            self.upload_params(trace_id, &touched_nodes);
-        }
-    }
-
-    fn upload_params(&mut self, trace_id: TraceId, nodes: &[String]) {
-        for node in nodes {
-            if let Some(agent) = self.agents.get_mut(node) {
-                if let Some(params) = agent.take_params(trace_id) {
+            self.collector.record_other(32 * touched_nodes);
+            for view in views {
+                let node = view.node();
+                let params = self
+                    .agents
+                    .get_mut(node)
+                    .and_then(|a| a.take_params(trace_id));
+                if let Some(params) = params {
                     self.collector.record_params_upload(&params);
-                    self.backend.store_params(node.clone(), params);
+                    self.backend.store_params(node, params);
                 }
             }
         }

@@ -87,10 +87,13 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`]-keyed maps.
 pub type BuildFxHasher = BuildHasherDefault<FxHasher>;
 
-/// Maps template-constant tokens to dense ids `1..=len()`.
+/// Maps strings to dense ids `1..=len()`: a string parser's
+/// template-constant tokens, and one level up a span parser's attribute
+/// keys, service and operation names.
 ///
-/// The interner grows only when templates are created or generalized (cold
-/// paths); the hot path performs read-only [`Interner::lookup_into`] calls.
+/// The interner grows only when something new is learned (a template is
+/// created or generalized, a key or name is first seen); the hot path only
+/// probes it with borrowed `&str`s.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Interner {
     map: HashMap<String, u32, BuildFxHasher>,

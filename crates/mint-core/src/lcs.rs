@@ -99,23 +99,102 @@ pub fn tokenize_borrowed(value: &str) -> Vec<&str> {
 // mint-lint: hot
 pub fn tokenize_into<'a>(value: &'a str, out: &mut Vec<&'a str>) {
     out.clear();
+    for_each_token(value, |start, end| out.push(&value[start..end]));
+}
+
+/// [`tokenize_into`], but each token is the `(start, end)` byte range it
+/// occupies in `value`.  A buffer of ranges borrows nothing, so a parser can
+/// own one and reuse it for every value it ever sees.
+pub(crate) fn tokenize_ranges(value: &str, out: &mut Vec<(usize, usize)>) {
+    out.clear();
+    for_each_token(value, |start, end| out.push((start, end)));
+}
+
+/// The one tokenizer: calls `emit(start, end)` for every token of `value`.
+#[inline]
+fn for_each_token(value: &str, mut emit: impl FnMut(usize, usize)) {
     let mut start: Option<usize> = None;
     for (index, ch) in value.char_indices() {
         if ch.is_whitespace() {
             if let Some(s) = start.take() {
-                out.push(&value[s..index]);
+                emit(s, index);
             }
         } else if is_separator(ch) {
             if let Some(s) = start.take() {
-                out.push(&value[s..index]);
+                emit(s, index);
             }
-            out.push(&value[index..index + ch.len_utf8()]);
+            emit(index, index + ch.len_utf8());
         } else if start.is_none() {
             start = Some(index);
         }
     }
     if let Some(s) = start {
-        out.push(&value[s..]);
+        emit(s, value.len());
+    }
+}
+
+/// A tokenized value as the template matchers read it: a slice of token
+/// strings (the public, owned-or-borrowed form) or a [`RangeTokens`] view.
+pub(crate) trait TokenSeq {
+    /// Number of tokens.
+    fn len(&self) -> usize;
+    /// Token `index`.
+    fn token(&self, index: usize) -> &str;
+    /// Whether token `index` is `expected` — the matchers' inner comparison.
+    #[inline]
+    fn token_is(&self, index: usize, expected: &str) -> bool {
+        self.token(index) == expected
+    }
+}
+
+impl<S: AsRef<str>> TokenSeq for [S] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[S]>::len(self)
+    }
+
+    #[inline]
+    fn token(&self, index: usize) -> &str {
+        self[index].as_ref()
+    }
+}
+
+/// A value and the byte ranges [`tokenize_ranges`] split it into.
+#[derive(Clone, Copy)]
+pub(crate) struct RangeTokens<'a> {
+    pub(crate) value: &'a str,
+    pub(crate) ranges: &'a [(usize, usize)],
+}
+
+impl<'a> RangeTokens<'a> {
+    /// The tokens as string slices, for the cold paths that learn from a
+    /// value through the slice-taking template API.
+    pub(crate) fn to_vec(self) -> Vec<&'a str> {
+        self.ranges
+            .iter()
+            .map(|&(start, end)| &self.value[start..end])
+            .collect()
+    }
+}
+
+impl TokenSeq for RangeTokens<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    #[inline]
+    fn token(&self, index: usize) -> &str {
+        let (start, end) = self.ranges[index];
+        &self.value[start..end]
+    }
+
+    /// Compares bytes, which spares the two char-boundary checks of slicing
+    /// a `str` on every cell of the matcher's DP table.
+    #[inline]
+    fn token_is(&self, index: usize, expected: &str) -> bool {
+        let (start, end) = self.ranges[index];
+        end - start == expected.len() && self.value.as_bytes()[start..end] == *expected.as_bytes()
     }
 }
 
@@ -189,8 +268,8 @@ fn bitpar_step(v: &mut [u64], mask: &[u64]) {
 /// Allison–Dix recurrence, where a [`WILDCARD_ID`] template token uses the
 /// all-ones mask (a variable slot matches any single token) and an
 /// out-of-vocabulary value token sets no mask bit (it can only pair with a
-/// wildcard).  Safe Rust throughout; owned by a thread-local in the parser.
-#[derive(Debug, Default)]
+/// wildcard).  Safe Rust throughout; owned by the parser's `ParseScratch`.
+#[derive(Debug, Clone, Default)]
 pub struct TokenMaskTable {
     words: usize,
     value_len: usize,

@@ -81,13 +81,13 @@ pub use lcs::{
     tokenize_into, TokenMaskTable,
 };
 pub use merge::MergeStats;
-pub use params::{ParamValue, ParamsBuffer, SpanParams, TraceParams};
+pub use params::{PackedVars, ParamValue, ParamsBuffer, SpanParams, TraceParams};
 pub use samplers::{EdgeCaseSampler, HeadSampler, SamplerDecision, SymptomSampler};
 pub use sharded::{shard_of, ShardedDeployment};
 pub use snapshot::{BackendSnapshot, QueryHandle};
 pub use span_parser::{
-    AttrPattern, NumericBucketer, PatternCatalog, SpanParser, SpanPattern, SpanPatternLibrary,
-    StringTemplate,
+    AttrPattern, NumericBucketer, ParseScratch, PatternCatalog, SpanParser, SpanPattern,
+    SpanPatternLibrary, StringTemplate,
 };
 pub use streaming::{EpochStats, StreamingDeployment};
-pub use trace_parser::{TopoPattern, TopoPatternLibrary, TraceParser};
+pub use trace_parser::{ParsedSpan, TopoPattern, TopoPatternLibrary, TraceParser};

@@ -1,14 +1,22 @@
 //! Variable parameters extracted from spans and the agent-side Params Buffer.
 
+use crate::lcs::TokenSeq;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 use trace_model::{AttrValue, PatternId, SpanId, TraceId, WireSize};
 
 /// The variable part of one attribute after parsing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ParamValue {
-    /// Per-slot contents of a string template's variable slots.
-    StrVars(Vec<String>),
+    /// The contents of a string template's variable slots: `count` slots of
+    /// the owning span's [`PackedVars`], starting at slot `first`.
+    StrVars {
+        /// Index of the attribute's first slot in the span's packed text.
+        first: u32,
+        /// Number of slots (the template's variable count).
+        count: u32,
+    },
     /// A numeric value as its exponential bucket plus the offset from the
     /// bucket's lower bound (`value = lower_bound(bucket) + offset`).
     Num {
@@ -21,6 +29,84 @@ pub enum ParamValue {
     Bool(bool),
     /// Fallback: the raw value (used on type drift).
     Raw(AttrValue),
+}
+
+/// All variable text of one span in one buffer: the slot contents of every
+/// string attribute back to back, plus where each slot ends.  A slot holds
+/// the tokens the template's variable matched, joined by single spaces.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct PackedVars {
+    text: String,
+    /// `ends[i]` is the byte offset in `text` one past slot `i`.
+    ends: Vec<u32>,
+}
+
+impl PackedVars {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// The content of slot `index` (`None` past the last slot).
+    pub fn slot(&self, index: usize) -> Option<&str> {
+        let end = *self.ends.get(index)? as usize;
+        let start = match index.checked_sub(1) {
+            Some(previous) => self.ends[previous] as usize,
+            None => 0,
+        };
+        self.text.get(start..end)
+    }
+
+    /// The contents of the slots in `range`, clipped to the slots that exist.
+    pub fn slots(&self, range: Range<usize>) -> impl Iterator<Item = &str> {
+        range.map_while(|index| self.slot(index))
+    }
+
+    /// Appends one slot made of `tokens`, joined by single spaces.
+    pub fn push_slot<S: AsRef<str>>(&mut self, tokens: &[S]) {
+        self.push_token_range(tokens, 0, tokens.len());
+    }
+
+    /// Appends one slot per `(start, end)` token range of `tokens` — the
+    /// matchers' output, written without an intermediate `String` per slot.
+    pub(crate) fn push_ranges<T: TokenSeq + ?Sized>(&mut self, tokens: &T, ranges: &[(u32, u32)]) {
+        for &(start, end) in ranges {
+            self.push_token_range(tokens, start as usize, end as usize);
+        }
+    }
+
+    fn push_token_range<T: TokenSeq + ?Sized>(&mut self, tokens: &T, start: usize, end: usize) {
+        for index in start..end {
+            if index > start {
+                self.text.push(' ');
+            }
+            self.text.push_str(tokens.token(index));
+        }
+        // More than 4 GiB of variable text in one span is cut off at the
+        // boundary table's range rather than wrapped.
+        self.ends
+            .push(u32::try_from(self.text.len()).unwrap_or(u32::MAX));
+    }
+
+    /// An exactly-sized copy: what a span's parameters keep of the parser's
+    /// reusable buffer.
+    pub(crate) fn compact_copy(&self) -> PackedVars {
+        PackedVars {
+            text: self.text.as_str().into(),
+            ends: self.ends.as_slice().into(),
+        }
+    }
 }
 
 /// Encoded size of one extracted string variable.  Purely numeric fragments
@@ -50,17 +136,6 @@ fn num_param_size(bucket: i64, offset: f64) -> usize {
     bucket_bytes + offset_bytes
 }
 
-impl WireSize for ParamValue {
-    fn wire_size(&self) -> usize {
-        1 + match self {
-            ParamValue::StrVars(vars) => vars.iter().map(|v| str_var_size(v)).sum(),
-            ParamValue::Num { bucket, offset } => num_param_size(*bucket, *offset),
-            ParamValue::Bool(_) => 1,
-            ParamValue::Raw(value) => value.wire_size(),
-        }
-    }
-}
-
 /// The variable parameters of one span: everything needed, together with the
 /// span's pattern, to reconstruct the exact span.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,14 +154,37 @@ pub struct SpanParams {
     pub duration_offset: f64,
     /// Whether the span recorded an error status.
     pub status_error: bool,
-    /// Per-attribute variable parameters, in pattern order.
-    pub attr_params: Vec<(String, ParamValue)>,
+    /// Per-attribute variable parameters, positionally: entry `i` belongs to
+    /// attribute `i` of the span pattern, which holds the keys.
+    pub attr_params: Vec<ParamValue>,
+    /// The variable text the [`ParamValue::StrVars`] entries point into.
+    pub vars: PackedVars,
+}
+
+impl SpanParams {
+    /// The slot contents of a [`ParamValue::StrVars`] entry of this span.
+    pub fn str_vars(&self, first: u32, count: u32) -> impl Iterator<Item = &str> {
+        let first = first as usize;
+        self.vars.slots(first..first + count as usize)
+    }
+
+    /// Encoded size of one of this span's parameters.
+    fn param_wire_size(&self, param: &ParamValue) -> usize {
+        1 + match param {
+            ParamValue::StrVars { first, count } => {
+                self.str_vars(*first, *count).map(str_var_size).sum()
+            }
+            ParamValue::Num { bucket, offset } => num_param_size(*bucket, *offset),
+            ParamValue::Bool(_) => 1,
+            ParamValue::Raw(value) => value.wire_size(),
+        }
+    }
 }
 
 impl WireSize for SpanParams {
     fn wire_size(&self) -> usize {
-        // Attribute keys are *not* charged: they are part of the span
-        // pattern and the parameters are stored positionally.  The pattern
+        // Attribute keys are part of the span pattern, not of the
+        // parameters, which are stored positionally.  The pattern
         // reference is a small library-local index, not a full 128-bit id,
         // and the start timestamp is stored as a delta against the parameter
         // block's base timestamp.
@@ -100,7 +198,7 @@ impl WireSize for SpanParams {
             + self
                 .attr_params
                 .iter()
-                .map(|(_, v)| v.wire_size())
+                .map(|param| self.param_wire_size(param))
                 .sum::<usize>()
     }
 }
@@ -239,65 +337,67 @@ impl ParamsBuffer {
 mod tests {
     use super::*;
 
+    fn span_params(attr_params: Vec<ParamValue>, vars: PackedVars) -> SpanParams {
+        SpanParams {
+            span_id: SpanId::from_u64(1),
+            parent_id: SpanId::INVALID,
+            pattern: PatternId::from_u128(1),
+            start_time_us: 0,
+            duration_bucket: 5,
+            duration_offset: 1.5,
+            status_error: false,
+            attr_params,
+            vars,
+        }
+    }
+
+    fn one_slot(content: &str) -> SpanParams {
+        let mut vars = PackedVars::default();
+        vars.push_slot(&[content]);
+        span_params(vec![ParamValue::StrVars { first: 0, count: 1 }], vars)
+    }
+
     fn block(trace: u128, spans: usize, payload: usize) -> TraceParams {
         let mut b = TraceParams::new(TraceId::from_u128(trace));
         for i in 0..spans {
-            b.spans.push(SpanParams {
-                span_id: SpanId::from_u64(i as u64 + 1),
-                parent_id: SpanId::INVALID,
-                pattern: PatternId::from_u128(1),
-                start_time_us: 0,
-                duration_bucket: 5,
-                duration_offset: 1.5,
-                status_error: false,
-                attr_params: vec![(
-                    "sql".to_owned(),
-                    ParamValue::StrVars(vec!["x".repeat(payload)]),
-                )],
-            });
+            let mut params = one_slot(&"x".repeat(payload));
+            params.span_id = SpanId::from_u64(i as u64 + 1);
+            b.spans.push(params);
         }
         b
     }
 
     #[test]
     fn param_value_sizes() {
-        assert_eq!(ParamValue::Bool(true).wire_size(), 2);
+        // What one parameter adds to the span's fixed 33 bytes.
+        let size =
+            |param: ParamValue| span_params(vec![param], PackedVars::default()).wire_size() - 33;
+        assert_eq!(size(ParamValue::Bool(true)), 2);
         // Small integral offsets are varint-encoded: tag + bucket + offset.
-        assert_eq!(
-            ParamValue::Num {
-                bucket: 3,
-                offset: 1.0
-            }
-            .wire_size(),
-            3
-        );
-        assert!(
-            ParamValue::Num {
-                bucket: 3,
-                offset: 123_456.0
-            }
-            .wire_size()
-                > ParamValue::Num {
-                    bucket: 3,
-                    offset: 1.0
-                }
-                .wire_size()
-        );
-        assert_eq!(
-            ParamValue::Num {
-                bucket: 3,
-                offset: 0.125
-            }
-            .wire_size(),
-            10
-        );
-        assert!(ParamValue::StrVars(vec!["abc".into()]).wire_size() > 5);
+        let num = |offset| ParamValue::Num { bucket: 3, offset };
+        assert_eq!(size(num(1.0)), 3);
+        assert!(size(num(123_456.0)) > size(num(1.0)));
+        assert_eq!(size(num(0.125)), 10);
+        assert!(one_slot("abc").wire_size() - 33 > 5);
         // Numeric string fragments are cheaper than arbitrary text.
-        assert!(
-            ParamValue::StrVars(vec!["1234567".into()]).wire_size()
-                < ParamValue::StrVars(vec!["abcdefg".into()]).wire_size()
-        );
-        assert!(ParamValue::Raw(AttrValue::str("abc")).wire_size() > 5);
+        assert!(one_slot("1234567").wire_size() < one_slot("abcdefg").wire_size());
+        assert!(size(ParamValue::Raw(AttrValue::str("abc"))) > 5);
+    }
+
+    #[test]
+    fn packed_vars_keep_slot_boundaries() {
+        let mut vars = PackedVars::default();
+        vars.push_slot(&["cart", ":", "7"]);
+        vars.push_slot::<&str>(&[]);
+        vars.push_ranges(&["a", "b", "c"][..], &[(1, 3)]);
+        assert_eq!(vars.len(), 3);
+        assert_eq!(vars.slot(0), Some("cart : 7"));
+        assert_eq!(vars.slot(1), Some(""));
+        assert_eq!(vars.slots(1..9).collect::<Vec<_>>(), ["", "b c"]);
+        assert_eq!(vars.slot(3), None);
+        assert_eq!(vars.compact_copy(), vars);
+        vars.clear();
+        assert!(vars.is_empty());
     }
 
     #[test]

@@ -1,42 +1,53 @@
 //! Per-attribute parsers and the prefix index used for online matching.
 
 use super::numeric::NumericBucketer;
-use super::template::{join_tokens, StringTemplate};
+use super::template::StringTemplate;
 use crate::intern::{
     value_fingerprint, InternedPrefixIndex, InternedTemplate, Interner, PrefilterStats,
 };
-use crate::lcs::{tokenize_into, TokenMaskTable};
-use crate::params::ParamValue;
+use crate::lcs::{tokenize_ranges, RangeTokens, TokenMaskTable, TokenSeq};
+use crate::params::{PackedVars, ParamValue};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use trace_model::AttrValue;
 
-thread_local! {
-    /// Reusable candidate-id buffer for the online matching hot path, so
-    /// neither the structural fast path nor `best_match` allocates a fresh
-    /// `Vec<usize>` per attribute value.  The two consumers never nest.
-    static CANDIDATE_SCRATCH: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-
-    /// Per-value interned token ids (one `Interner::lookup_into` per value).
-    static ID_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-
-    /// Slot ranges produced by the interned matcher; materialized into owned
-    /// parameter strings only on a successful match.
-    static RANGE_SCRATCH: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
-
-    /// Bit-parallel LCS state (per-symbol masks + column vector), built once
-    /// per value and reused across every candidate scored against it.
-    static MASK_SCRATCH: RefCell<TokenMaskTable> = RefCell::new(TokenMaskTable::default());
+/// The working memory of one parser, reused for every value it parses so the
+/// steady-state path allocates only the parameters it returns.  A
+/// [`SpanParser`](super::SpanParser) owns one and lends it to its
+/// per-attribute parsers in turn; nothing in it outlives a `parse` call
+/// except capacity.
+#[derive(Debug, Clone, Default)]
+pub struct ParseScratch {
+    /// Byte ranges of the tokens of the value being parsed.  Ranges borrow
+    /// nothing, which is what lets the buffer live here.
+    tokens: Vec<(usize, usize)>,
+    /// Candidate template ids: the structural probe's, then the similarity
+    /// fallback's (the two never overlap in time).
+    candidates: Vec<usize>,
+    /// The value's interned token ids (similarity fallback only).
+    ids: Vec<u32>,
+    /// Token range of every variable slot of the last successful match.
+    ranges: Vec<(u32, u32)>,
+    /// Bit-parallel LCS state, built once per value that reaches the
+    /// fallback and reused across every candidate scored against it.
+    masks: TokenMaskTable,
+    /// The span-pattern probe `[service, name, kind, (key, attr pattern)…]`.
+    pub(super) pattern_key: Vec<u32>,
+    /// Variable text of the span being parsed, one slot per template
+    /// variable, in attribute order.
+    pub(super) vars: PackedVars,
 }
 
-/// Materializes matcher ranges into owned parameter strings — the only heap
-/// work on a successful steady-state match (the parameters are retained).
-fn params_from_ranges(tokens: &[&str], ranges: &[(u32, u32)]) -> Vec<String> {
-    ranges
-        .iter()
-        .map(|&(start, end)| join_tokens(&tokens[start as usize..end as usize]))
-        .collect()
+impl ParseScratch {
+    /// The variable text extracted since the last [`Self::clear_vars`].
+    pub fn vars(&self) -> &PackedVars {
+        &self.vars
+    }
+
+    /// Forgets the extracted variable text (capacity is kept).
+    pub fn clear_vars(&mut self) {
+        self.vars.clear();
+    }
 }
 
 /// The pattern component produced by parsing one attribute value.
@@ -54,6 +65,31 @@ pub enum AttrPattern {
     Numeric,
     /// A boolean attribute (the value itself is the parameter).
     Flag,
+}
+
+impl AttrPattern {
+    /// The pattern as one word of a span-pattern probe key: distinct
+    /// patterns of one attribute key get distinct codes.
+    pub(super) fn code(&self) -> u32 {
+        match self {
+            AttrPattern::Numeric => 0,
+            AttrPattern::Flag => 1,
+            AttrPattern::Template { template_id } => {
+                u32::try_from(*template_id).map_or(u32::MAX, |id| id.saturating_add(2))
+            }
+        }
+    }
+
+    /// Inverse of [`Self::code`].
+    pub(super) fn from_code(code: u32) -> Self {
+        match code {
+            0 => AttrPattern::Numeric,
+            1 => AttrPattern::Flag,
+            id => AttrPattern::Template {
+                template_id: (id - 2) as usize,
+            },
+        }
+    }
 }
 
 /// A prefix index over string templates: maps a template's first constant
@@ -235,68 +271,53 @@ impl StringAttributeParser {
         }
     }
 
-    /// Scores candidate `id` against the value loaded in `table`, keeping
-    /// the strict-greater running best (ties break toward the earlier scan
-    /// position, exactly like the pre-interning scorer).  With `prefilter`
-    /// set, candidates provably below threshold are skipped before any LCS
-    /// call; the skip can never change an above-threshold winner because the
-    /// prefilter bounds are certificates (see
+    /// Best-scoring template for an interned value: candidate phase in index
+    /// order, then the full scan whenever pruning found nothing at or above
+    /// threshold (a generalized template may no longer share the first
+    /// token).  The running best is strict-greater, so ties break toward the
+    /// earlier scan position, exactly like the pre-interning scorer.
+    ///
+    /// With `prefilter` set, candidates provably below threshold are skipped
+    /// before any LCS call; the skip can never change an above-threshold
+    /// winner because the prefilter bounds are certificates (see
     /// [`InternedTemplate::prefilter_admits`]) — an admitted-or-skipped
     /// sub-threshold best is observationally equivalent to the parser, which
     /// only branches on `score >= threshold`.
     // mint-lint: hot
-    #[allow(clippy::too_many_arguments)]
-    fn score_candidate(
-        &mut self,
-        id: usize,
-        value_len: usize,
-        fp: u128,
-        unknown: u32,
+    fn best_match_interned(
+        &self,
+        ids: &[u32],
         prefilter: bool,
         table: &mut TokenMaskTable,
-        best: &mut Option<(usize, f64)>,
-    ) {
-        self.stats.candidates_considered += 1;
-        if prefilter && !self.interned[id].prefilter_admits(value_len, fp, unknown, self.threshold)
-        {
-            self.stats.candidates_skipped += 1;
-            return;
-        }
-        self.stats.lcs_calls += 1;
-        let score = self.interned[id].similarity_with(table);
-        if best.map(|(_, s)| score > s).unwrap_or(true) {
-            *best = Some((id, score));
-        }
-    }
-
-    /// Interned best-match: candidate phase in index order, then the full
-    /// scan whenever pruning found nothing at or above threshold (a
-    /// generalized template may no longer share the first token).  The
-    /// selection rule and the fallback trigger are byte-for-byte the
-    /// pre-interning logic; only the scoring kernel and the prefilter gate
-    /// are new.
-    // mint-lint: hot
-    fn best_match_interned(&mut self, ids: &[u32], prefilter: bool) -> Option<(usize, f64)> {
-        let value_len = ids.len();
+        candidates: &mut Vec<usize>,
+        stats: &mut PrefilterStats,
+    ) -> Option<(usize, f64)> {
         let (fp, unknown) = value_fingerprint(ids);
-        MASK_SCRATCH.with(|mask_cell| {
-            let table = &mut *mask_cell.borrow_mut();
-            table.build(ids, self.interner.vocab_size());
-            let mut best: Option<(usize, f64)> = None;
-            CANDIDATE_SCRATCH.with(|cell| {
-                let candidate_ids = &mut *cell.borrow_mut();
-                self.candidates_for(ids.first().copied(), candidate_ids);
-                for &id in candidate_ids.iter() {
-                    self.score_candidate(id, value_len, fp, unknown, prefilter, table, &mut best);
-                }
-            });
-            if self.use_index && best.map(|(_, s)| s < self.threshold).unwrap_or(true) {
-                for id in 0..self.interned.len() {
-                    self.score_candidate(id, value_len, fp, unknown, prefilter, table, &mut best);
-                }
+        table.build(ids, self.interner.vocab_size());
+        let mut best: Option<(usize, f64)> = None;
+        let mut score = |id: usize, best: &mut Option<(usize, f64)>| {
+            let template = &self.interned[id];
+            stats.candidates_considered += 1;
+            if prefilter && !template.prefilter_admits(ids.len(), fp, unknown, self.threshold) {
+                stats.candidates_skipped += 1;
+                return;
             }
-            best
-        })
+            stats.lcs_calls += 1;
+            let score = template.similarity_with(table);
+            if best.map(|(_, s)| score > s).unwrap_or(true) {
+                *best = Some((id, score));
+            }
+        };
+        self.candidates_for(ids.first().copied(), candidates);
+        for &id in candidates.iter() {
+            score(id, &mut best);
+        }
+        if self.use_index && best.map(|(_, s)| s < self.threshold).unwrap_or(true) {
+            for id in 0..self.interned.len() {
+                score(id, &mut best);
+            }
+        }
+        best
     }
 
     /// Finds the best-matching template for a tokenized value.
@@ -306,154 +327,136 @@ impl StringAttributeParser {
     /// candidate with the bit-parallel kernel, which is score-identical to
     /// the string LCS.
     pub fn best_match<S: AsRef<str>>(&self, tokens: &[S]) -> Option<(usize, f64)> {
-        ID_SCRATCH.with(|id_cell| {
-            let ids = &mut *id_cell.borrow_mut();
-            self.interner.lookup_into(tokens, ids);
-            MASK_SCRATCH.with(|mask_cell| {
-                let table = &mut *mask_cell.borrow_mut();
-                table.build(ids, self.interner.vocab_size());
-                let mut best: Option<(usize, f64)> = CANDIDATE_SCRATCH.with(|cell| {
-                    let candidate_ids = &mut *cell.borrow_mut();
-                    self.candidates_for(ids.first().copied(), candidate_ids);
-                    let mut best: Option<(usize, f64)> = None;
-                    for &id in candidate_ids.iter() {
-                        let score = self.interned[id].similarity_with(table);
-                        if best.map(|(_, s)| score > s).unwrap_or(true) {
-                            best = Some((id, score));
-                        }
-                    }
-                    best
-                });
-                // Fall back to a full scan when pruning found nothing
-                // acceptable: generalized templates may no longer share the
-                // first token.
-                if self.use_index && best.map(|(_, s)| s < self.threshold).unwrap_or(true) {
-                    for id in 0..self.interned.len() {
-                        let score = self.interned[id].similarity_with(table);
-                        if best.map(|(_, s)| score > s).unwrap_or(true) {
-                            best = Some((id, score));
-                        }
-                    }
-                }
-                best
-            })
-        })
+        let mut scratch = ParseScratch::default();
+        self.interner.lookup_into(tokens, &mut scratch.ids);
+        self.best_match_interned(
+            &scratch.ids,
+            false,
+            &mut scratch.masks,
+            &mut scratch.candidates,
+            &mut PrefilterStats::default(),
+        )
     }
 
     /// Parses a raw string value: matches (or creates) a template and
-    /// extracts the variable parameters.
+    /// extracts the variable parameters, one string per variable slot.
     ///
-    /// Returns `(template_id, params)`.
-    ///
-    /// Allocation discipline: the value is tokenized into borrowed `&str`
-    /// slices (one `Vec`, no per-token strings) and the candidate-id list
-    /// lives in a thread-local scratch buffer, so in steady state — where
-    /// the structural fast path hits — the only heap work is the extracted
-    /// parameter strings themselves.
+    /// Returns `(template_id, params)`.  An owned convenience over
+    /// [`Self::parse_into`], which is what the ingest path calls.
     pub fn parse(&mut self, value: &str) -> (usize, Vec<String>) {
-        let mut tokens: Vec<&str> = Vec::new();
-        self.parse_with_buffer(value, &mut tokens)
+        let mut scratch = ParseScratch::default();
+        let id = self.parse_into(value, &mut scratch);
+        let vars = &scratch.vars;
+        (id, vars.slots(0..vars.len()).map(str::to_owned).collect())
     }
 
-    /// Interned structural+extraction probe: matches the value's ids against
-    /// template `id` and materializes the parameters on success.  Failed
-    /// probes touch no heap (ranges live in scratch).
-    // mint-lint: hot
-    fn try_extract(&self, id: usize, ids: &[u32], tokens: &[&str]) -> Option<Vec<String>> {
-        RANGE_SCRATCH.with(|cell| {
-            let ranges = &mut *cell.borrow_mut();
-            if self.interned[id].match_ranges(ids, ranges) {
-                Some(params_from_ranges(tokens, ranges))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// [`Self::parse`], tokenizing into a caller-provided buffer (cleared
-    /// first).  A caller parsing many values — one span carries many
-    /// attributes — pays for one token `Vec` total instead of one per value.
+    /// Parses a raw string value, appending one slot per variable of the
+    /// matched template to `scratch`'s variable text, and returns the
+    /// template id.  In steady state — where the structural fast path hits —
+    /// nothing is allocated: the value is tokenized into byte ranges, the
+    /// candidate list and slot ranges live in `scratch`, and the slot
+    /// contents are copied straight from the value into the packed text.
     ///
     /// Interning is deliberately *lazy*: the structural fast path — which
-    /// wins for almost every steady-state value — runs on the borrowed
-    /// `&str` tokens with a single first-token vocabulary lookup for
-    /// candidate bucketing, because hashing every token costs more than the
-    /// handful of string compares it replaces (measured).  Only when the
-    /// structural probe misses is the value lowered to dense `&[u32]` ids
-    /// for the prefiltered bit-parallel similarity fallback.
-    // mint-lint: hot
-    pub fn parse_with_buffer<'a>(
-        &mut self,
-        value: &'a str,
-        tokens: &mut Vec<&'a str>,
-    ) -> (usize, Vec<String>) {
-        tokenize_into(value, tokens);
-        let tokens = &tokens[..];
+    /// wins for almost every steady-state value — runs on the value's own
+    /// text with a single first-token vocabulary lookup for candidate
+    /// bucketing, because hashing every token costs more than the handful of
+    /// string compares it replaces (measured).  Only when the structural
+    /// probe misses is the value lowered to dense `&[u32]` ids for the
+    /// prefiltered bit-parallel similarity fallback.
+    pub fn parse_into(&mut self, value: &str, scratch: &mut ParseScratch) -> usize {
+        tokenize_ranges(value, &mut scratch.tokens);
+        let tokens = RangeTokens {
+            value,
+            ranges: &scratch.tokens,
+        };
 
-        // Fast path: structural alignment against the indexed candidates, on
-        // borrowed strings.  In steady state almost every value aligns with
-        // an existing template, so the LCS similarity is rarely needed.
-        // Candidates with more constant tokens are preferred so an overly
-        // general template does not shadow a more specific one; ties break by
-        // id so the scan order is fully deterministic.
-        let first_id = tokens.first().map(|t| self.interner.lookup(t));
-        let structural = CANDIDATE_SCRATCH.with(|cell| {
-            let candidates = &mut *cell.borrow_mut();
-            self.candidates_for(first_id, candidates);
-            candidates.sort_unstable_by_key(|&id| {
-                (std::cmp::Reverse(self.interned[id].const_count()), id)
-            });
-            candidates.iter().find_map(|&id| {
-                self.templates[id]
-                    .match_and_extract(tokens)
-                    .map(|params| (id, params))
-            })
-        });
-        // The scratch borrow has ended; the fallback below re-enters it.
-        if let Some(hit) = structural {
-            return hit;
+        // Fast path: structural alignment against the indexed candidates.
+        // In steady state almost every value aligns with an existing
+        // template, so the LCS similarity is rarely needed.  Candidates with
+        // more constant tokens are preferred so an overly general template
+        // does not shadow a more specific one; ties break by id so the scan
+        // order is fully deterministic.
+        let first_id = (tokens.len() > 0).then(|| self.interner.lookup(tokens.token(0)));
+        self.candidates_for(first_id, &mut scratch.candidates);
+        scratch
+            .candidates
+            .sort_unstable_by_key(|&id| (std::cmp::Reverse(self.interned[id].const_count()), id));
+        for &id in &scratch.candidates {
+            if self.templates[id].match_spans(&tokens, &mut scratch.ranges) {
+                scratch.vars.push_ranges(&tokens, &scratch.ranges);
+                return id;
+            }
         }
 
         // Slow path: lower the value to interned ids and run the prefiltered
         // bit-parallel similarity against every surviving candidate.
-        ID_SCRATCH.with(|id_cell| {
-            let ids = &mut *id_cell.borrow_mut();
-            self.interner.lookup_into(tokens, ids);
-            match self.best_match_interned(ids, true) {
-                Some((id, score)) if score >= self.threshold => {
-                    if let Some(params) = self.try_extract(id, ids, tokens) {
-                        return (id, params);
-                    }
-                    // Similar but the skeleton does not align: generalize the
-                    // template so this (and future) values fit, then
-                    // re-extract.  Generalization never grows the vocabulary
-                    // (merged constants are a subset of the old ones), so the
-                    // value ids computed above remain valid.
-                    let first_before = self.interned[id].first_const();
-                    self.templates[id].generalize(tokens);
-                    self.reintern(id);
-                    if self.interned[id].first_const() != first_before {
-                        self.index.rebuild(&self.interned);
-                    }
-                    let params = self
-                        .try_extract(id, ids, tokens)
-                        .unwrap_or_else(|| vec![value.to_owned()]);
-                    (id, params)
+        scratch.ids.clear();
+        for index in 0..tokens.len() {
+            scratch.ids.push(self.interner.lookup(tokens.token(index)));
+        }
+        let mut stats = self.stats;
+        let best = self.best_match_interned(
+            &scratch.ids,
+            true,
+            &mut scratch.masks,
+            &mut scratch.candidates,
+            &mut stats,
+        );
+        self.stats = stats;
+        match best {
+            Some((id, score)) if score >= self.threshold => {
+                if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
+                    scratch.vars.push_ranges(&tokens, &scratch.ranges);
+                } else {
+                    self.generalize_to_fit(id, value, scratch);
                 }
-                _ => {
-                    // Seed a new template, pre-masking identifier-like tokens
-                    // so one-off values (ids, IPs, counters) do not each
-                    // become a distinct pattern.  Interning the new constants
-                    // grows the vocabulary, so the value ids are refreshed
-                    // before extraction.
-                    let template = StringTemplate::from_raw_tokens(tokens);
-                    let id = self.add_template(template);
-                    self.interner.lookup_into(tokens, ids);
-                    let params = self.try_extract(id, ids, tokens).unwrap_or_default();
-                    (id, params)
-                }
+                id
             }
-        })
+            _ => self.learn_template(value, scratch),
+        }
+    }
+
+    /// Similar but the skeleton does not align: generalizes template `id` so
+    /// the value tokenized in `scratch` (and future ones like it) fits, then
+    /// extracts.  Generalization never grows the vocabulary (merged
+    /// constants are a subset of the old ones), so the value ids computed
+    /// before it remain valid.
+    fn generalize_to_fit(&mut self, id: usize, value: &str, scratch: &mut ParseScratch) {
+        let tokens = RangeTokens {
+            value,
+            ranges: &scratch.tokens,
+        };
+        let first_before = self.interned[id].first_const();
+        self.templates[id].generalize(&tokens.to_vec());
+        self.reintern(id);
+        if self.interned[id].first_const() != first_before {
+            self.index.rebuild(&self.interned);
+        }
+        if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
+            scratch.vars.push_ranges(&tokens, &scratch.ranges);
+        } else {
+            scratch.vars.push_slot(&[value]);
+        }
+    }
+
+    /// Seeds a new template from the value tokenized in `scratch`,
+    /// pre-masking identifier-like tokens so one-off values (ids, IPs,
+    /// counters) do not each become a distinct pattern.  Interning the new
+    /// constants grows the vocabulary, so the value ids are refreshed before
+    /// extraction.
+    fn learn_template(&mut self, value: &str, scratch: &mut ParseScratch) -> usize {
+        let tokens = RangeTokens {
+            value,
+            ranges: &scratch.tokens,
+        };
+        let owned = tokens.to_vec();
+        let id = self.add_template(StringTemplate::from_raw_tokens(&owned));
+        self.interner.lookup_into(&owned, &mut scratch.ids);
+        if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
+            scratch.vars.push_ranges(&tokens, &scratch.ranges);
+        }
+        id
     }
 
     /// Total bytes needed to store this parser's templates.
@@ -485,26 +488,25 @@ impl AttributeParser {
         }
     }
 
-    /// Parses a value into its pattern component and parameter.
-    pub fn parse(&mut self, value: &AttrValue) -> (AttrPattern, ParamValue) {
-        let mut tokens: Vec<&str> = Vec::new();
-        self.parse_with_buffer(value, &mut tokens)
-    }
-
-    /// [`Self::parse`] with a caller-provided token buffer — see
-    /// [`StringAttributeParser::parse_with_buffer`].
-    // mint-lint: hot
-    pub fn parse_with_buffer<'a>(
+    /// Parses a value into its pattern component and parameter.  String
+    /// parameters point into `scratch`'s variable text, to which the value's
+    /// slots are appended.
+    pub fn parse_into(
         &mut self,
-        value: &'a AttrValue,
-        tokens: &mut Vec<&'a str>,
+        value: &AttrValue,
+        scratch: &mut ParseScratch,
     ) -> (AttrPattern, ParamValue) {
         match (self, value) {
             (AttributeParser::Strings(parser), AttrValue::Str(s)) => {
-                let (template_id, params) = parser.parse_with_buffer(s, tokens);
+                let first = scratch.vars.len();
+                let template_id = parser.parse_into(s, scratch);
+                let count = scratch.vars.len() - first;
                 (
                     AttrPattern::Template { template_id },
-                    ParamValue::StrVars(params),
+                    ParamValue::StrVars {
+                        first: first as u32,
+                        count: count as u32,
+                    },
                 )
             }
             (AttributeParser::Numeric(bucketer), value) if value.is_numeric() => {
@@ -663,7 +665,7 @@ mod tests {
     #[test]
     fn numeric_parser_roundtrips() {
         let mut parser = AttributeParser::Numeric(NumericBucketer::default());
-        let (pattern, param) = parser.parse(&AttrValue::Int(57));
+        let (pattern, param) = parser.parse_into(&AttrValue::Int(57), &mut ParseScratch::default());
         assert_eq!(pattern, AttrPattern::Numeric);
         let (bucket, offset) = match param {
             ParamValue::Num { bucket, offset } => (bucket, offset),
@@ -676,7 +678,8 @@ mod tests {
     #[test]
     fn boolean_parser_emits_flag() {
         let mut parser = AttributeParser::Booleans;
-        let (pattern, param) = parser.parse(&AttrValue::Bool(true));
+        let (pattern, param) =
+            parser.parse_into(&AttrValue::Bool(true), &mut ParseScratch::default());
         assert_eq!(pattern, AttrPattern::Flag);
         assert_eq!(param, ParamValue::Bool(true));
     }
@@ -684,9 +687,28 @@ mod tests {
     #[test]
     fn type_drift_falls_back_to_raw() {
         let mut parser = AttributeParser::Numeric(NumericBucketer::default());
-        let (pattern, param) = parser.parse(&AttrValue::str("oops"));
+        let (pattern, param) =
+            parser.parse_into(&AttrValue::str("oops"), &mut ParseScratch::default());
         assert_eq!(pattern, AttrPattern::Flag);
         assert_eq!(param, ParamValue::Raw(AttrValue::str("oops")));
+    }
+
+    #[test]
+    fn string_params_point_into_the_shared_variable_text() {
+        let mut parser = AttributeParser::Strings(StringAttributeParser::new(0.8));
+        let mut scratch = ParseScratch::default();
+        parser.parse_into(&AttrValue::str("get cart 1"), &mut scratch);
+        scratch.clear_vars();
+        // Two attributes of one span append to the same buffer.
+        let (_, first) = parser.parse_into(&AttrValue::str("get cart 22"), &mut scratch);
+        let (pattern, second) = parser.parse_into(&AttrValue::str("get cart 333"), &mut scratch);
+        assert_eq!(first, ParamValue::StrVars { first: 0, count: 1 });
+        assert_eq!(second, ParamValue::StrVars { first: 1, count: 1 });
+        assert_eq!(
+            scratch.vars().slots(0..2).collect::<Vec<_>>(),
+            ["22", "333"]
+        );
+        assert_eq!(AttrPattern::from_code(pattern.code()), pattern);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The [`SpanParser`] owns one [`AttributeParser`](attribute::AttributeParser)
 //! per attribute key plus a numeric bucketer for span durations.  Parsing a
-//! span yields a [`SpanPattern`] (registered in the [`SpanPatternLibrary`])
-//! and the span's variable [`SpanParams`].  A read-only [`PatternCatalog`]
+//! span yields the id of its [`SpanPattern`] (registered in the
+//! [`SpanPatternLibrary`] the first time it is seen) and the span's variable
+//! [`SpanParams`].  A read-only [`PatternCatalog`]
 //! snapshot of everything the parser has learned is what the collector ships
 //! to the backend, and what the backend uses to reconstruct exact or
 //! approximate spans at query time.
@@ -13,12 +14,15 @@ mod numeric;
 mod offline;
 mod template;
 
-pub use attribute::{AttrPattern, AttributeParser, PrefixIndex, StringAttributeParser};
+pub use attribute::{
+    AttrPattern, AttributeParser, ParseScratch, PrefixIndex, StringAttributeParser,
+};
 pub use numeric::{NumericBucketer, NON_POSITIVE_BUCKET};
 pub use offline::cluster_strings;
 pub use template::{StringTemplate, TemplateToken};
 
 use crate::config::MintConfig;
+use crate::intern::{BuildFxHasher, Interner};
 use crate::params::{ParamValue, SpanParams};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -136,6 +140,16 @@ impl SpanPatternLibrary {
         (id, true)
     }
 
+    /// Records one more span of `duration_us` against the known pattern `id`
+    /// (no-op for an unknown id).
+    pub(crate) fn observe_duration(&mut self, id: PatternId, duration_us: u64) {
+        if let Some(index) = id.as_u128().checked_sub(1) {
+            if let Some(stats) = self.durations.get_mut(index as usize) {
+                stats.observe(duration_us);
+            }
+        }
+    }
+
     /// Inserts `pattern` (if new) and folds `stats` into its duration
     /// statistics.  Used to merge shard-local libraries into a canonical one:
     /// ids are assigned in absorption order, so callers must record the
@@ -247,8 +261,7 @@ impl PatternCatalog {
         let pattern = self.spans.get(params.pattern)?;
         let mut attributes = Attributes::with_capacity(pattern.attrs.len());
         for (idx, (key, attr_pattern)) in pattern.attrs.iter().enumerate() {
-            let param = params.attr_params.get(idx).map(|(_, v)| v);
-            let value = self.reconstruct_attr(key, attr_pattern, param);
+            let value = self.reconstruct_attr(key, attr_pattern, params, idx);
             attributes.insert(key.clone(), value);
         }
         let duration = self
@@ -256,7 +269,7 @@ impl PatternCatalog {
             .reconstruct(params.duration_bucket, params.duration_offset)
             .max(0.0)
             .round() as u64;
-        let mut builder = Span::builder(trace_id, params.span_id)
+        let span = Span::builder(trace_id, params.span_id)
             .parent(params.parent_id)
             .name(pattern.name.clone())
             .service(pattern.service.clone())
@@ -267,32 +280,32 @@ impl PatternCatalog {
                 SpanStatus::Error
             } else {
                 SpanStatus::Ok
-            });
-        for (key, value) in attributes.iter() {
-            builder = builder.attr(key, value.clone());
-        }
-        Some(builder.build())
+            })
+            .attributes(attributes)
+            .build();
+        Some(span)
     }
 
+    /// The exact value of attribute `idx` of `params`' span.
     fn reconstruct_attr(
         &self,
         key: &str,
         pattern: &AttrPattern,
-        param: Option<&ParamValue>,
+        params: &SpanParams,
+        idx: usize,
     ) -> AttrValue {
-        match (pattern, param) {
-            (AttrPattern::Template { template_id }, Some(ParamValue::StrVars(vars))) => {
-                match self.templates.get(key).and_then(|ts| ts.get(*template_id)) {
-                    Some(template) => AttrValue::Str(template.reconstruct(vars)),
-                    None => AttrValue::Str(vars.join(" ")),
-                }
+        let template = |template_id: usize| self.templates.get(key)?.get(template_id);
+        match (pattern, params.attr_params.get(idx)) {
+            (AttrPattern::Template { template_id }, Some(ParamValue::StrVars { first, count })) => {
+                let vars = params.str_vars(*first, *count);
+                AttrValue::Str(match template(*template_id) {
+                    Some(template) => template.reconstruct_from(vars),
+                    None => vars.collect::<Vec<_>>().join(" "),
+                })
             }
-            (AttrPattern::Template { template_id }, _) => {
-                match self.templates.get(key).and_then(|ts| ts.get(*template_id)) {
-                    Some(template) => AttrValue::Str(template.masked()),
-                    None => AttrValue::Str("<*>".to_owned()),
-                }
-            }
+            (AttrPattern::Template { template_id }, _) => AttrValue::Str(
+                template(*template_id).map_or_else(|| "<*>".to_owned(), StringTemplate::masked),
+            ),
             (AttrPattern::Numeric, Some(ParamValue::Num { bucket, offset })) => {
                 let bucketer = self.bucketers.get(key).copied().unwrap_or_default();
                 AttrValue::Float(bucketer.reconstruct(*bucket, *offset))
@@ -331,15 +344,38 @@ impl PatternCatalog {
     }
 }
 
+/// One attribute key's parser, stored at index `key id - 1`.
+#[derive(Debug, Clone)]
+struct KeyedParser {
+    key: String,
+    parser: AttributeParser,
+}
+
 /// The inter-span level parser (§3.2).
+///
+/// Attribute keys, service and operation names are resolved to dense `u32`
+/// ids on first sight, so a span whose pattern already exists is recognised
+/// by probing `pattern_ids` with an integer slice assembled in `scratch` —
+/// no string is owned and no [`SpanPattern`] is built for it.  The id tables
+/// hash with the deterministic [`BuildFxHasher`], like the token interner:
+/// the keys come from the instrumented application, not from its users.
 #[derive(Debug, Clone)]
 pub struct SpanParser {
     threshold: f64,
     alpha: f64,
-    attr_parsers: HashMap<String, AttributeParser>,
+    /// Attribute key → id; `attr_parsers[id - 1]` is the key's parser.
+    keys: Interner,
+    attr_parsers: Vec<KeyedParser>,
+    /// Service and operation names → id (one namespace: the two sit at
+    /// different positions of the probe).
+    names: Interner,
+    /// `[service, name, kind, (key, attr pattern)…]` → pattern id, mirroring
+    /// `library` one to one.
+    pattern_ids: HashMap<Box<[u32]>, PatternId, BuildFxHasher>,
     duration_bucketer: NumericBucketer,
     library: SpanPatternLibrary,
     parsed_spans: u64,
+    scratch: ParseScratch,
 }
 
 impl SpanParser {
@@ -348,11 +384,34 @@ impl SpanParser {
         SpanParser {
             threshold: config.similarity_threshold,
             alpha: config.numeric_precision,
-            attr_parsers: HashMap::new(),
+            keys: Interner::new(),
+            attr_parsers: Vec::new(),
+            names: Interner::new(),
+            pattern_ids: HashMap::default(),
             duration_bucketer: NumericBucketer::from_alpha(config.numeric_precision),
             library: SpanPatternLibrary::new(),
             parsed_spans: 0,
+            scratch: ParseScratch::default(),
         }
+    }
+
+    /// The id of attribute `key`, creating the parser that fits `value` the
+    /// first time the key is seen.
+    fn key_id(&mut self, key: &str, value: &AttrValue) -> u32 {
+        let id = self.keys.intern(key);
+        if id as usize > self.attr_parsers.len() {
+            self.add_parser(key, value);
+        }
+        id
+    }
+
+    /// Cold half of [`Self::key_id`]: ids are dense, so a new key's id is
+    /// the next index.
+    fn add_parser(&mut self, key: &str, value: &AttrValue) {
+        self.attr_parsers.push(KeyedParser {
+            key: key.to_owned(),
+            parser: AttributeParser::for_value(value, self.threshold, self.alpha),
+        });
     }
 
     /// Offline warm-up (§3.2.1): builds the initial attribute parsers from a
@@ -362,70 +421,66 @@ impl SpanParser {
         // values per attribute are plenty to discover its templates, so the
         // per-key sample is capped to keep warm-up cheap.
         const MAX_VALUES_PER_KEY: usize = 256;
-        // Collect string values per key, then cluster them into templates.
-        let mut string_values: HashMap<&str, Vec<&str>> = HashMap::new();
+        // Collect string values per key id, then cluster them into templates.
+        let mut string_values: Vec<Vec<&str>> = Vec::new();
         for span in spans {
             for (key, value) in span.attributes().iter() {
-                match value {
-                    AttrValue::Str(s) => {
-                        let bucket = string_values.entry(key).or_default();
-                        if bucket.len() < MAX_VALUES_PER_KEY {
-                            bucket.push(s.as_str());
-                        }
+                let index = self.key_id(key, value) as usize - 1;
+                if let AttrValue::Str(s) = value {
+                    if string_values.len() <= index {
+                        string_values.resize_with(index + 1, Vec::new);
                     }
-                    AttrValue::Int(_) | AttrValue::Float(_) => {
-                        self.attr_parsers.entry(key.to_owned()).or_insert_with(|| {
-                            AttributeParser::Numeric(NumericBucketer::from_alpha(self.alpha))
-                        });
-                    }
-                    AttrValue::Bool(_) => {
-                        self.attr_parsers
-                            .entry(key.to_owned())
-                            .or_insert(AttributeParser::Booleans);
+                    if string_values[index].len() < MAX_VALUES_PER_KEY {
+                        string_values[index].push(s.as_str());
                     }
                 }
             }
         }
-        for (key, values) in string_values {
-            let templates = cluster_strings(&values, self.threshold);
+        // A key that held a string anywhere in the sample gets a fresh string
+        // parser, whatever its first value was.
+        for (index, values) in string_values.iter().enumerate() {
+            if values.is_empty() {
+                continue;
+            }
             let mut parser = StringAttributeParser::new(self.threshold);
-            for template in templates {
+            for template in cluster_strings(values, self.threshold) {
                 parser.add_template(template);
             }
-            self.attr_parsers
-                .insert(key.to_owned(), AttributeParser::Strings(parser));
+            self.attr_parsers[index].parser = AttributeParser::Strings(parser);
         }
     }
 
     /// Parses one span into its pattern id and variable parameters.
     /// The boolean is `true` when a new span pattern was created.
+    // mint-lint: hot
     pub fn parse(&mut self, span: &Span) -> (PatternId, SpanParams, bool) {
         self.parsed_spans += 1;
-        let mut attr_patterns = Vec::with_capacity(span.attributes().len());
         let mut attr_params = Vec::with_capacity(span.attributes().len());
-        // One token buffer for the whole span: every attribute value is
-        // tokenized into it in turn, so the per-value hot path allocates no
-        // token storage at all.
-        // mint-lint: allow(L004) — empty Vec::new allocates nothing until first push; the buffer borrows from `span`, so it cannot be hoisted into `self` without unsafe lifetime laundering
-        let mut token_buffer: Vec<&str> = Vec::new();
+        self.scratch.vars.clear();
+        self.scratch.pattern_key.clear();
+        let (service, name) = (
+            self.names.intern(span.service()),
+            self.names.intern(span.name()),
+        );
+        self.scratch
+            .pattern_key
+            .extend([service, name, span.kind() as u32]);
         for (key, value) in span.attributes().iter() {
-            let parser = self
-                .attr_parsers
-                .entry(key.to_owned())
-                .or_insert_with(|| AttributeParser::for_value(value, self.threshold, self.alpha));
-            let (pattern, param) = parser.parse_with_buffer(value, &mut token_buffer);
-            attr_patterns.push((key.to_owned(), pattern));
-            attr_params.push((key.to_owned(), param));
+            let key_id = self.key_id(key, value);
+            let parser = &mut self.attr_parsers[key_id as usize - 1].parser;
+            let (pattern, param) = parser.parse_into(value, &mut self.scratch);
+            self.scratch.pattern_key.extend([key_id, pattern.code()]);
+            attr_params.push(param);
         }
+        let (pattern_id, is_new) = match self.pattern_ids.get(self.scratch.pattern_key.as_slice()) {
+            Some(&id) => {
+                self.library.observe_duration(id, span.duration_us());
+                (id, false)
+            }
+            None => self.register_pattern(span),
+        };
         let (duration_bucket, duration_offset) =
             self.duration_bucketer.parse(span.duration_us() as f64);
-        let pattern = SpanPattern {
-            service: span.service().to_owned(),
-            name: span.name().to_owned(),
-            kind: span.kind(),
-            attrs: attr_patterns,
-        };
-        let (pattern_id, is_new) = self.library.get_or_insert(pattern, span.duration_us());
         let params = SpanParams {
             span_id: span.span_id(),
             parent_id: span.parent_id(),
@@ -435,8 +490,30 @@ impl SpanParser {
             duration_offset,
             status_error: span.status().is_error(),
             attr_params,
+            vars: self.scratch.vars.compact_copy(),
         };
         (pattern_id, params, is_new)
+    }
+
+    /// Cold half of [`Self::parse`]: the probe in `scratch` missed, so the
+    /// owned, serialisable [`SpanPattern`] is built from it and registered.
+    fn register_pattern(&mut self, span: &Span) -> (PatternId, bool) {
+        let key = self.scratch.pattern_key.as_slice();
+        let pattern = SpanPattern {
+            service: span.service().to_owned(),
+            name: span.name().to_owned(),
+            kind: span.kind(),
+            attrs: key[3..]
+                .chunks_exact(2)
+                .map(|pair| {
+                    let key = self.attr_parsers[pair[0] as usize - 1].key.clone();
+                    (key, AttrPattern::from_code(pair[1]))
+                })
+                .collect(),
+        };
+        let (id, is_new) = self.library.get_or_insert(pattern, span.duration_us());
+        self.pattern_ids.insert(key.into(), id);
+        (id, is_new)
     }
 
     /// The span pattern library.
@@ -452,8 +529,8 @@ impl SpanParser {
     /// Total number of attribute-level patterns (string templates) learned.
     pub fn attribute_pattern_count(&self) -> usize {
         self.attr_parsers
-            .values()
-            .map(AttributeParser::pattern_count)
+            .iter()
+            .map(|keyed| keyed.parser.pattern_count())
             .sum()
     }
 
@@ -463,8 +540,8 @@ impl SpanParser {
         self.library.stored_size()
             + self
                 .attr_parsers
-                .values()
-                .map(AttributeParser::stored_size)
+                .iter()
+                .map(|keyed| keyed.parser.stored_size())
                 .sum::<usize>()
     }
 
@@ -474,9 +551,9 @@ impl SpanParser {
     pub fn scalar_parser_sizes(&self) -> Vec<(String, usize)> {
         self.attr_parsers
             .iter()
-            .filter_map(|(key, parser)| match parser {
+            .filter_map(|keyed| match &keyed.parser {
                 AttributeParser::Strings(_) => None,
-                other => Some((key.clone(), other.stored_size())),
+                other => Some((keyed.key.clone(), other.stored_size())),
             })
             .collect()
     }
@@ -484,8 +561,8 @@ impl SpanParser {
     /// Aggregated prefilter counters across the per-key string parsers.
     pub fn prefilter_stats(&self) -> crate::intern::PrefilterStats {
         let mut total = crate::intern::PrefilterStats::default();
-        for parser in self.attr_parsers.values() {
-            if let AttributeParser::Strings(p) = parser {
+        for keyed in &self.attr_parsers {
+            if let AttributeParser::Strings(p) = &keyed.parser {
                 total.absorb(p.prefilter_stats());
             }
         }
@@ -496,7 +573,7 @@ impl SpanParser {
     pub fn catalog(&self) -> PatternCatalog {
         let mut templates = HashMap::new();
         let mut bucketers = HashMap::new();
-        for (key, parser) in &self.attr_parsers {
+        for KeyedParser { key, parser } in &self.attr_parsers {
             match parser {
                 AttributeParser::Strings(p) => {
                     templates.insert(key.clone(), p.templates().to_vec());

@@ -1,6 +1,7 @@
 //! String templates: the common skeleton of a cluster of attribute values.
 
-use crate::lcs::{lcs_length, similarity, with_lcs_scratch};
+use crate::lcs::{lcs_length, similarity, with_lcs_scratch, TokenSeq};
+use crate::params::PackedVars;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
@@ -38,18 +39,6 @@ thread_local! {
     /// Flat `(template_len + 1) × (tokens_len + 1)` reachability table for the
     /// exact matcher's DP fallback, reused across calls.
     static MATCH_SCRATCH: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
-
-    /// Reusable `(start, end)` slot-range buffer for the string matchers, so
-    /// a failed match probe never allocates (ranges are materialized into
-    /// parameter strings only after the whole match succeeds).
-    static SPAN_SCRATCH: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
-
-    /// Spare `String` pool for [`StringTemplate::match_and_extract_into`]:
-    /// when a recycled parameter buffer shrinks (the matched template has
-    /// fewer slots than the previous one), the dropped `String`s park here
-    /// with their capacity intact instead of being freed — so alternating
-    /// between templates of different arity stays allocation-free.
-    static PARAM_POOL: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
 impl StringTemplate {
@@ -189,64 +178,43 @@ impl StringTemplate {
     /// the first anchor occurrence and spuriously fails, while the DP
     /// considers every slot boundary.  Where the greedy scan succeeds, its
     /// answer is already leftmost-shortest, so the two tiers never disagree.
-    // mint-lint: hot
     pub fn match_and_extract<S: AsRef<str>>(&self, tokens: &[S]) -> Option<Vec<String>> {
-        SPAN_SCRATCH.with(|cell| {
-            let spans = &mut *cell.borrow_mut();
-            if self.match_spans(tokens, spans) {
-                Some(
-                    spans
-                        .iter()
-                        .map(|&(start, end)| join_tokens(&tokens[start as usize..end as usize]))
-                        .collect(),
-                )
-            } else {
-                None
-            }
+        let mut spans = Vec::new();
+        self.match_spans(tokens, &mut spans).then(|| {
+            spans
+                .iter()
+                .map(|&(start, end)| join_tokens(&tokens[start as usize..end as usize]))
+                .collect()
         })
     }
 
-    /// [`Self::match_and_extract`], writing the parameters into a
-    /// caller-recycled buffer instead of allocating a fresh `Vec<String>`:
-    /// existing `String`s are cleared and refilled in place, so steady-state
-    /// extraction against a stable template shape performs zero allocations
-    /// once the buffers have grown.  Returns `false` (leaving `params` with
-    /// stale content) when the skeleton does not align.
+    /// [`Self::match_and_extract`] as the ingest path runs it: the slot
+    /// contents are appended to `vars` (one slot per variable, nothing
+    /// appended on a mismatch) and `ranges` is working memory, so a caller
+    /// that reuses both allocates nothing once they have grown.
     // mint-lint: hot
-    pub fn match_and_extract_into<S: AsRef<str>>(
+    pub fn match_and_pack<S: AsRef<str>>(
         &self,
         tokens: &[S],
-        params: &mut Vec<String>,
+        ranges: &mut Vec<(u32, u32)>,
+        vars: &mut PackedVars,
     ) -> bool {
-        SPAN_SCRATCH.with(|cell| {
-            let spans = &mut *cell.borrow_mut();
-            if !self.match_spans(tokens, spans) {
-                return false;
-            }
-            PARAM_POOL.with(|pool| {
-                let pool = &mut *pool.borrow_mut();
-                while params.len() > spans.len() {
-                    if let Some(mut spare) = params.pop() {
-                        spare.clear();
-                        pool.push(spare);
-                    }
-                }
-                while params.len() < spans.len() {
-                    params.push(pool.pop().unwrap_or_default());
-                }
-            });
-            for (param, &(start, end)) in params.iter_mut().zip(spans.iter()) {
-                join_tokens_into(&tokens[start as usize..end as usize], param);
-            }
-            true
-        })
+        let matched = self.match_spans(tokens, ranges);
+        if matched {
+            vars.push_ranges(tokens, ranges);
+        }
+        matched
     }
 
     /// Allocation-free core of the two-tier matcher: writes one
     /// `(start, end)` token range per variable slot into `spans` (cleared
     /// first) and reports whether the skeleton aligned.
     // mint-lint: hot
-    fn match_spans<S: AsRef<str>>(&self, tokens: &[S], spans: &mut Vec<(u32, u32)>) -> bool {
+    pub(crate) fn match_spans<T: TokenSeq + ?Sized>(
+        &self,
+        tokens: &T,
+        spans: &mut Vec<(u32, u32)>,
+    ) -> bool {
         if self.match_greedy_spans(tokens, spans) {
             return true;
         }
@@ -258,14 +226,18 @@ impl StringTemplate {
     /// valid match) but incomplete — it misses matches where a slot must
     /// swallow a token equal to its anchor.
     // mint-lint: hot
-    fn match_greedy_spans<S: AsRef<str>>(&self, tokens: &[S], spans: &mut Vec<(u32, u32)>) -> bool {
+    fn match_greedy_spans<T: TokenSeq + ?Sized>(
+        &self,
+        tokens: &T,
+        spans: &mut Vec<(u32, u32)>,
+    ) -> bool {
         spans.clear();
         let mut pos = 0usize;
         let mut i = 0usize;
         while i < self.tokens.len() {
             match &self.tokens[i] {
                 TemplateToken::Const(expected) => {
-                    if pos < tokens.len() && tokens[pos].as_ref() == expected {
+                    if pos < tokens.len() && tokens.token_is(pos, expected) {
                         pos += 1;
                         i += 1;
                     } else {
@@ -281,7 +253,7 @@ impl StringTemplate {
                     let start = pos;
                     match anchor {
                         Some(anchor) => {
-                            while pos < tokens.len() && tokens[pos].as_ref() != anchor {
+                            while pos < tokens.len() && !tokens.token_is(pos, anchor) {
                                 pos += 1;
                             }
                             if pos >= tokens.len() {
@@ -304,7 +276,11 @@ impl StringTemplate {
     /// remainder matchable.  The table lives in a reusable thread-local
     /// buffer.
     // mint-lint: hot
-    fn match_exact_spans<S: AsRef<str>>(&self, tokens: &[S], spans: &mut Vec<(u32, u32)>) -> bool {
+    fn match_exact_spans<T: TokenSeq + ?Sized>(
+        &self,
+        tokens: &T,
+        spans: &mut Vec<(u32, u32)>,
+    ) -> bool {
         spans.clear();
         let n = self.tokens.len();
         let m = tokens.len();
@@ -322,7 +298,7 @@ impl StringTemplate {
                 match &self.tokens[i] {
                     TemplateToken::Const(expected) => {
                         for pos in 0..m {
-                            row[pos] = tokens[pos].as_ref() == expected && next[pos + 1];
+                            row[pos] = tokens.token_is(pos, expected) && next[pos + 1];
                         }
                         row[m] = false;
                     }
@@ -388,23 +364,28 @@ impl StringTemplate {
 
     /// Reconstructs a (whitespace-normalized) value from per-slot parameters.
     /// Missing parameters render as `<*>`.
-    pub fn reconstruct(&self, params: &[String]) -> String {
-        let mut parts: Vec<&str> = Vec::with_capacity(self.tokens.len());
-        let mut var_index = 0usize;
+    pub fn reconstruct<S: AsRef<str>>(&self, params: &[S]) -> String {
+        self.reconstruct_from(params.iter().map(AsRef::as_ref))
+    }
+
+    /// [`Self::reconstruct`] with the slot contents coming from an iterator —
+    /// the slices of a span's packed variable text.
+    pub fn reconstruct_from<'p>(&self, mut params: impl Iterator<Item = &'p str>) -> String {
+        // Sized for the constants; the slot contents grow it at most a little.
+        let mut out = String::with_capacity(self.stored_size());
         for token in &self.tokens {
-            match token {
-                TemplateToken::Const(s) => parts.push(s),
-                TemplateToken::Var => {
-                    parts.push(params.get(var_index).map(String::as_str).unwrap_or("<*>"));
-                    var_index += 1;
+            let part = match token {
+                TemplateToken::Const(s) => s.as_str(),
+                TemplateToken::Var => params.next().unwrap_or("<*>"),
+            };
+            if !part.is_empty() {
+                if !out.is_empty() {
+                    out.push(' ');
                 }
+                out.push_str(part);
             }
         }
-        parts
-            .into_iter()
-            .filter(|p| !p.is_empty())
-            .collect::<Vec<_>>()
-            .join(" ")
+        out
     }
 
     /// Renders the template with every variable slot masked as `<*>` — the
@@ -458,22 +439,7 @@ impl fmt::Display for StringTemplate {
     }
 }
 
-/// Joins slot tokens with single spaces into a recycled parameter string
-/// (cleared first) — the zero-allocation twin of [`join_tokens`], used when
-/// the caller owns a reusable `String`.
-// mint-lint: hot
-pub(crate) fn join_tokens_into<S: AsRef<str>>(tokens: &[S], out: &mut String) {
-    out.clear();
-    for (index, token) in tokens.iter().enumerate() {
-        if index > 0 {
-            out.push(' ');
-        }
-        out.push_str(token.as_ref());
-    }
-}
-
 /// Joins slot tokens with single spaces into one owned parameter string.
-// mint-lint: hot
 pub(crate) fn join_tokens<S: AsRef<str>>(tokens: &[S]) -> String {
     if tokens.is_empty() {
         return String::new();
@@ -715,7 +681,7 @@ mod tests {
     #[test]
     fn reconstruct_masks_missing_params() {
         let t = template_from(&["a x b", "a y b"]);
-        assert_eq!(t.reconstruct(&[]), "a <*> b");
+        assert_eq!(t.reconstruct::<&str>(&[]), "a <*> b");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::config::MintConfig;
 use mint_bloom::BloomFilter;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use trace_model::{PatternId, SpanId, SubTrace, TraceId};
 
 /// The topology pattern of a sub-trace: which span patterns act as local
@@ -36,56 +36,102 @@ impl TopoPattern {
     }
 }
 
+/// What the topology encoder reads of one parsed span.
+#[derive(Debug, Clone, Copy)]
+pub struct ParsedSpan {
+    /// The span's id.
+    pub span_id: SpanId,
+    /// The parent span id.
+    pub parent_id: SpanId,
+    /// The span pattern the span parser assigned.
+    pub pattern: PatternId,
+}
+
 /// The inter-trace level parser: encodes sub-traces into topology patterns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceParser;
+///
+/// It owns the working memory of [`TraceParser::encode_parsed`], so encoding
+/// allocates only the [`TopoPattern`] it returns.
+#[derive(Debug, Clone, Default)]
+pub struct TraceParser {
+    /// `(span id, position)` of the sub-trace's spans, sorted, for the
+    /// parent lookup.
+    positions: Vec<(SpanId, u32)>,
+    /// Patterns of the locally parent-less spans.
+    entries: Vec<PatternId>,
+    /// `(parent pattern, child pattern)` of every local parent→child link.
+    links: Vec<(PatternId, PatternId)>,
+}
 
 impl TraceParser {
     /// Creates a trace parser.
     pub fn new() -> Self {
-        TraceParser
+        TraceParser::default()
     }
 
     /// Encodes the topology of `sub_trace`, using `pattern_of` to map each
     /// local span id to its span pattern id (produced by the span parser).
     ///
-    /// Spans missing from `pattern_of` are skipped — in a live system this
-    /// cannot happen because every span is parsed before grouping.
+    /// Spans missing from `pattern_of` are left out as if the node had not
+    /// observed them — in a live system this cannot happen because every
+    /// span is parsed before grouping.  An owned convenience over
+    /// [`Self::encode_parsed`], which is what the agent calls.
     pub fn encode(
         &self,
         sub_trace: &SubTrace,
         pattern_of: &HashMap<SpanId, PatternId>,
     ) -> TopoPattern {
-        let local: HashMap<SpanId, PatternId> = sub_trace
+        let parsed: Vec<ParsedSpan> = sub_trace
             .spans()
             .iter()
-            .filter_map(|s| pattern_of.get(&s.span_id()).map(|&p| (s.span_id(), p)))
-            .collect();
-
-        let mut entries: Vec<PatternId> = sub_trace
-            .entry_spans()
-            .iter()
-            .filter_map(|s| local.get(&s.span_id()).copied())
-            .collect();
-        entries.sort_unstable();
-
-        let mut edges: BTreeMap<PatternId, Vec<PatternId>> = BTreeMap::new();
-        for span in sub_trace.spans() {
-            let Some(&child_pattern) = local.get(&span.span_id()) else {
-                continue;
-            };
-            if let Some(&parent_pattern) = local.get(&span.parent_id()) {
-                edges.entry(parent_pattern).or_default().push(child_pattern);
-            }
-        }
-        let edges = edges
-            .into_iter()
-            .map(|(parent, mut children)| {
-                children.sort_unstable();
-                (parent, children)
+            .filter_map(|span| {
+                Some(ParsedSpan {
+                    span_id: span.span_id(),
+                    parent_id: span.parent_id(),
+                    pattern: *pattern_of.get(&span.span_id())?,
+                })
             })
             .collect();
-        TopoPattern { entries, edges }
+        TraceParser::new().encode_parsed(&parsed)
+    }
+
+    /// Encodes the topology of the spans one node observed for one trace,
+    /// given positionally with the pattern each was parsed into.
+    pub fn encode_parsed(&mut self, spans: &[ParsedSpan]) -> TopoPattern {
+        self.positions.clear();
+        self.positions.extend(
+            spans
+                .iter()
+                .zip(0u32..)
+                .map(|(span, at)| (span.span_id, at)),
+        );
+        self.positions.sort_unstable();
+        let position_of = |id: SpanId| {
+            let found = self.positions.binary_search_by_key(&id, |&(id, _)| id);
+            found.ok().map(|index| self.positions[index].1 as usize)
+        };
+
+        self.entries.clear();
+        self.links.clear();
+        for span in spans {
+            let parent = position_of(span.parent_id);
+            if !span.parent_id.is_valid() || parent.is_none() {
+                self.entries.push(span.pattern);
+            }
+            if let Some(parent) = parent {
+                self.links.push((spans[parent].pattern, span.pattern));
+            }
+        }
+        self.entries.sort_unstable();
+        self.links.sort_unstable();
+        let same_parent = |a: &(PatternId, PatternId), b: &(PatternId, PatternId)| a.0 == b.0;
+        let mut edges = Vec::with_capacity(self.links.chunk_by(same_parent).count());
+        for group in self.links.chunk_by(same_parent) {
+            edges.push((group[0].0, group.iter().map(|link| link.1).collect()));
+        }
+        TopoPattern {
+            entries: self.entries.as_slice().into(),
+            edges,
+        }
     }
 }
 

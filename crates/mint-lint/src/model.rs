@@ -179,7 +179,9 @@ pub fn analyze(tokens: &[Token], whole_file_is_test: bool) -> SourceModel {
                         }
                     }
                 }
-                "impl" => {
+                // `impl Trait` in a signature (argument or return position)
+                // is a type, not a block: the pending function keeps its body.
+                "impl" if !matches!(pending, Some(Pending::Fn { .. })) => {
                     let self_type = impl_self_type(tokens, i + 1);
                     pending = Some(Pending::Impl { self_type });
                 }
@@ -294,6 +296,22 @@ mod tests {
         );
         assert_eq!(fn_named(&model, "go").qualified, "P::go");
         assert_eq!(fn_named(&model, "next").qualified, "Wrapper::next");
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_does_not_steal_the_body() {
+        let (tokens, model) = build(
+            "struct P; impl P {\n\
+                 fn each<'a>(&mut self, xs: impl Iterator<Item = &'a u8> + Clone) { walk(xs); }\n\
+                 fn all(&self) -> impl Iterator<Item = u8> + '_ { make() }\n\
+                 fn after(&self) { last(); }\n\
+             }",
+        );
+        for (name, callee) in [("each", "walk"), ("all", "make"), ("after", "last")] {
+            let info = fn_named(&model, name);
+            assert_eq!(info.qualified, format!("P::{name}"));
+            assert!(tokens[info.body.clone()].iter().any(|t| t.is_ident(callee)));
+        }
     }
 
     #[test]

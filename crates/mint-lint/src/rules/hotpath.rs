@@ -6,11 +6,24 @@
 //! measured win.  The hot set is declared in `lint.toml` (qualified names)
 //! or by a marker comment directly above the function.
 //!
-//! Banned inside a hot body: `format!`, `.to_string()`, `String::from`,
-//! `Vec::new`, `.clone()`.
+//! Banned inside a hot body: `format!`, `String::from`, `Vec::new` and the
+//! owning method calls of [`OWNING_METHODS`].
 
 use super::{is_path, method_call, FileContext};
 use crate::diag::{Diagnostic, Severity};
+
+/// Method calls that hand back a freshly owned copy of their receiver, with
+/// what to say about each.  The ingest path's per-attribute
+/// `key.to_owned()`s went unseen until the last three were listed.
+const OWNING_METHODS: [(&str, &str); 4] = [
+    ("clone", "`.clone()` deep-copies"),
+    ("to_string", "`.to_string()` allocates"),
+    ("to_owned", "`.to_owned()` allocates an owned copy"),
+    (
+        "to_ascii_lowercase",
+        "`.to_ascii_lowercase()` allocates a lowered copy",
+    ),
+];
 
 pub fn check(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for &fn_idx in ctx.hot_fns {
@@ -27,10 +40,10 @@ pub fn check(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                     .unwrap_or(false)
             {
                 Some(("`format!` allocates a fresh String", t))
-            } else if let Some(at) = method_call(ctx.tokens, i, "to_string") {
-                Some(("`.to_string()` allocates", &ctx.tokens[at]))
-            } else if let Some(at) = method_call(ctx.tokens, i, "clone") {
-                Some(("`.clone()` deep-copies", &ctx.tokens[at]))
+            } else if let Some(hit) = OWNING_METHODS.iter().find_map(|&(name, why)| {
+                method_call(ctx.tokens, i, name).map(|at| (why, &ctx.tokens[at]))
+            }) {
+                Some(hit)
             } else if is_path(ctx.tokens, i, &["String", "from"]) {
                 Some(("`String::from` allocates", t))
             } else if is_path(ctx.tokens, i, &["Vec", "new"]) {

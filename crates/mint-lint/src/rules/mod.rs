@@ -6,7 +6,7 @@
 //! | L001 | crate roots carry `#![forbid(unsafe_code)]` |
 //! | L002 | no unbounded `mpsc::channel` in driver code |
 //! | L003 | no `.unwrap()`/`.expect()` in non-test library code |
-//! | L004 | hot-path functions stay allocation/format free |
+//! | L004 | hot-path functions stay allocation/format/owned-copy free |
 //! | L005 | no ambient time/RNG in deterministic modules |
 //! | L006 | no `Mutex`/`RwLock` on the snapshot publication path |
 //! | L007 | no truncating float format specifiers in bench JSON writers |

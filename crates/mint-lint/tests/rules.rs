@@ -114,6 +114,31 @@ fn l004_hot_path_allocations() {
     );
 }
 
+/// The owning calls the rule used to be blind to: `to_owned` and
+/// `to_ascii_lowercase`.
+#[test]
+fn l004_owned_copies_in_a_hot_function() {
+    let report = lint_fixture("L004_owned_violation.rs");
+    let hits: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == "L004")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(
+        hits,
+        [9, 10, 10],
+        "key.to_owned() twice, then to_ascii_lowercase(): {:?}",
+        report.diagnostics
+    );
+    let clean = lint_fixture("L004_owned_clean.rs");
+    assert!(
+        !codes(&clean).contains(&"L004"),
+        "borrowed probes, a cold owner and look-alike locals must pass: {:?}",
+        clean.diagnostics
+    );
+}
+
 /// The interned-ingest regression class: a hot function allocating an owned
 /// `String` per token inside a loop must fire, and its buffer-reuse rewrite
 /// (with a cold allocator alongside) must stay silent.

@@ -48,7 +48,7 @@ pub use error::ModelError;
 pub use id::{PatternId, SpanId, TraceId};
 pub use size::WireSize;
 pub use span::{Span, SpanBuilder, SpanKind, SpanStatus};
-pub use subtrace::SubTrace;
+pub use subtrace::{ServiceGroups, SubTrace, SubTraceView};
 pub use text::{render_span_text, render_trace_text};
 pub use trace::{Trace, TraceSet};
 pub use value::AttrValue;

@@ -263,6 +263,13 @@ impl SpanBuilder {
         self
     }
 
+    /// Replaces the attributes part wholesale (for callers that already hold
+    /// an [`Attributes`], so keys and values are not copied one by one).
+    pub fn attributes(mut self, attributes: Attributes) -> Self {
+        self.span.attributes = attributes;
+        self
+    }
+
     /// Finishes building the span.
     pub fn build(self) -> Span {
         self.span

@@ -129,6 +129,92 @@ impl WireSize for SubTrace {
     }
 }
 
+/// Reusable scratch that groups the spans of a [`Trace`] by service without
+/// cloning them: the borrowed counterpart of [`SubTrace::split_by_service`],
+/// which stays the owned reference the grouping is tested against.
+///
+/// The scratch holds span *indices*, so one instance serves traces of any
+/// lifetime and, once grown, grouping allocates nothing.
+///
+/// ```
+/// use trace_model::{ServiceGroups, Span, SpanId, Trace, TraceId};
+/// let tid = TraceId::from_u128(5);
+/// let spans = vec![
+///     Span::builder(tid, SpanId::from_u64(1)).service("front").build(),
+///     Span::builder(tid, SpanId::from_u64(2)).service("cart").build(),
+/// ];
+/// let trace = Trace::from_spans(tid, spans).unwrap();
+/// let mut groups = ServiceGroups::new();
+/// let nodes: Vec<&str> = groups.split(&trace).map(|view| view.node()).collect();
+/// assert_eq!(nodes, ["cart", "front"]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ServiceGroups {
+    /// Span indices ordered by (service, position in the trace).
+    order: Vec<u32>,
+}
+
+impl ServiceGroups {
+    /// Creates an empty scratch.
+    pub fn new() -> Self {
+        ServiceGroups::default()
+    }
+
+    /// Groups `trace`'s spans by service.  The views come in lexicographic
+    /// service order and each keeps the trace's span order — exactly the
+    /// groups, order and members of [`SubTrace::split_by_service`].
+    pub fn split<'a>(
+        &'a mut self,
+        trace: &'a Trace,
+    ) -> impl Iterator<Item = SubTraceView<'a>> + Clone {
+        let spans = trace.spans();
+        let service = |index: u32| spans[index as usize].service();
+        self.order.clear();
+        self.order
+            .extend(0..u32::try_from(spans.len()).unwrap_or(u32::MAX));
+        self.order
+            .sort_unstable_by(|&a, &b| service(a).cmp(service(b)).then(a.cmp(&b)));
+        let trace_id = trace.trace_id();
+        self.order
+            .chunk_by(move |&a, &b| service(a) == service(b))
+            .map(move |members| SubTraceView {
+                trace_id,
+                spans,
+                members,
+            })
+    }
+}
+
+/// One service's spans of a trace, borrowed from the trace: what
+/// [`ServiceGroups::split`] yields in place of an owned [`SubTrace`].
+#[derive(Debug, Clone, Copy)]
+pub struct SubTraceView<'a> {
+    trace_id: TraceId,
+    spans: &'a [Span],
+    /// Indices into `spans`, ascending; never empty.
+    members: &'a [u32],
+}
+
+impl<'a> SubTraceView<'a> {
+    /// The owning trace id.
+    pub fn trace_id(&self) -> TraceId {
+        self.trace_id
+    }
+
+    /// The node (service) that observed these spans.
+    pub fn node(&self) -> &'a str {
+        self.spans[self.members[0] as usize].service()
+    }
+
+    /// The group's spans, in trace order.
+    pub fn spans(&self) -> impl ExactSizeIterator<Item = &'a Span> + Clone + 'a {
+        let spans = self.spans;
+        self.members
+            .iter()
+            .map(move |&index| &spans[index as usize])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
