@@ -11,7 +11,9 @@
 //! * CPU is the measured wall-clock time each framework spends processing the
 //!   batch (No-Tracing is zero by construction);
 //! * memory is the resident footprint of the framework's agent-side state
-//!   (buffers, pattern libraries) plus, for OT-Head, its export queue.
+//!   (the pages its Params Buffers hold — `ParamsBuffer::resident_bytes`,
+//!   not the wire-size figure their budget is kept in — and the pattern
+//!   libraries) plus, for OT-Head, its export queue.
 
 use baselines::{MintFramework, OtHead, TracingFramework};
 use bench::{fmt_bytes, print_table, ExpConfig};
@@ -67,7 +69,7 @@ fn main() {
         let mint_memory: usize = mint
             .deployment()
             .agents()
-            .map(|a| a.params_buffer().used_bytes() + a.library_upload_bytes())
+            .map(|a| a.params_buffer().resident_bytes() + a.library_upload_bytes())
             .sum();
         let ot_memory = (ot_report.network_bytes / 50).max(1); // export queue snapshot
 
@@ -109,7 +111,7 @@ fn main() {
     println!(
         "\nShape to check: ingress is identical across replicas; Mint's egress increment over \
          No-Tracing is a few percent while OT-Head adds ~20%; Mint's CPU cost stays the same \
-         order of magnitude as OT-Head; memory stays bounded by the 4 MiB params buffers plus \
-         the pattern libraries."
+         order of magnitude as OT-Head; memory stays bounded by the params buffers (4 MiB of \
+         wire size each, a little more than that resident) plus the pattern libraries."
     );
 }

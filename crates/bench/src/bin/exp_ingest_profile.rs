@@ -34,14 +34,14 @@ use bench::{print_table, ExpConfig};
 use mint_core::span_parser::{ParseScratch, PrefixIndex, StringAttributeParser, TemplateToken};
 use mint_core::{
     tokenize, tokenize_borrowed, tokenize_into, value_fingerprint, InternedPrefixIndex,
-    InternedTemplate, Interner, MintConfig, MintDeployment, PackedVars, PrefilterStats,
-    SamplingMode, StreamingDeployment, StringTemplate, TokenMaskTable,
+    InternedTemplate, Interner, MintConfig, MintDeployment, PackedVars, ParamsWriter,
+    PrefilterStats, SamplingMode, StreamingDeployment, StringTemplate, TokenMaskTable,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use trace_model::{AttrValue, TraceSet};
+use trace_model::{AttrValue, TraceId, TraceSet};
 use workload::{layered_application, load_test_plan, GeneratorConfig, StreamingSource};
 
 // ── Counting allocator ──────────────────────────────────────────────────
@@ -659,12 +659,12 @@ fn main() {
     let mut match_path_stats = PrefilterStats::default();
     let (current_templates, after) = measure(|| {
         let mut count = 0usize;
-        let mut scratch = ParseScratch::default();
+        let (mut scratch, mut writer) = (ParseScratch::default(), ParamsWriter::default());
         for _ in 0..reps {
             let mut parser = StringAttributeParser::new(0.8);
             for value in &values {
-                scratch.clear_vars();
-                black_box(parser.parse_into(value, &mut scratch));
+                writer.begin_block(TraceId::INVALID);
+                black_box(parser.parse_into(value, &mut scratch, &mut writer));
             }
             count = parser.template_count();
             match_path_stats = parser.prefilter_stats();

@@ -2,7 +2,7 @@
 //! patterns, buffers parameters and runs the biased samplers (§4.1).
 
 use crate::config::MintConfig;
-use crate::params::{ParamsBuffer, TraceParams};
+use crate::params::{ParamBlock, ParamsBuffer};
 use crate::samplers::{EdgeCaseSampler, SymptomSampler};
 use crate::span_parser::{PatternCatalog, SpanParser};
 use crate::trace_parser::{ParsedSpan, TopoPatternLibrary, TraceParser};
@@ -129,10 +129,9 @@ impl MintAgent {
         trace_id: TraceId,
         spans: impl ExactSizeIterator<Item = &'a Span>,
     ) -> IngestOutcome {
-        let mut block = TraceParams {
-            trace_id,
-            spans: Vec::with_capacity(spans.len()),
-        };
+        // The spans' parameters are written straight into the Params
+        // Buffer's next block, which `commit` below pushes.
+        let writer = self.params_buffer.begin_block(trace_id);
         self.parsed.clear();
         let mut span_bytes = 0;
         let mut new_span_patterns = 0;
@@ -142,7 +141,7 @@ impl MintAgent {
             if self.symptom.observe_span(span) {
                 symptom_sampled = true;
             }
-            let (pattern_id, params, is_new) = self.span_parser.parse(span);
+            let (pattern_id, is_new) = self.span_parser.parse_into(span, writer);
             if is_new {
                 new_span_patterns += 1;
             }
@@ -151,21 +150,20 @@ impl MintAgent {
                 parent_id: span.parent_id(),
                 pattern: pattern_id,
             });
-            block.spans.push(params);
         }
         self.stats.sub_traces += 1;
-        self.stats.spans_parsed += block.spans.len() as u64;
+        self.stats.spans_parsed += self.parsed.len() as u64;
         // The sub-trace's wire size: envelope, node name, spans.
         self.stats.raw_bytes += (16 + 2 + self.node.len() + span_bytes) as u64;
 
-        let topo_pattern = self.trace_parser.encode_parsed(&self.parsed);
-        let outcome = self.topo_library.observe(topo_pattern, trace_id);
+        let topology = self.trace_parser.encode_parsed(&self.parsed);
+        let outcome = self.topo_library.observe_key(&topology, trace_id);
         let edge_case_sampled = self
             .edge_case
             .observe(outcome.match_count, self.topo_library.total_matches());
 
         let evicted_before = self.params_buffer.evicted_blocks();
-        self.params_buffer.push(block);
+        self.params_buffer.commit();
         self.stats.evicted_blocks += self.params_buffer.evicted_blocks() - evicted_before;
 
         IngestOutcome {
@@ -184,7 +182,7 @@ impl MintAgent {
 
     /// Removes and returns the buffered parameters of `trace_id`, if they are
     /// still in the Params Buffer (used when a trace is marked sampled).
-    pub fn take_params(&mut self, trace_id: TraceId) -> Option<TraceParams> {
+    pub fn take_params(&mut self, trace_id: TraceId) -> Option<ParamBlock> {
         self.params_buffer.take(trace_id)
     }
 
@@ -277,7 +275,8 @@ mod tests {
         let outcome = agent.ingest_sub_trace(&subs[0]);
         assert!(agent.params_buffer().contains(outcome.trace_id));
         let params = agent.take_params(outcome.trace_id).unwrap();
-        assert_eq!(params.trace_id, outcome.trace_id);
+        assert_eq!(params.trace_id(), outcome.trace_id);
+        assert_eq!(params.len(), subs[0].len());
         assert!(!params.is_empty());
         assert!(agent.take_params(outcome.trace_id).is_none());
     }

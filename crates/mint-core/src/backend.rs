@@ -2,12 +2,12 @@
 //! and answers trace queries (§4.3).
 
 use crate::cost::StorageCost;
-use crate::params::TraceParams;
+use crate::params::ParamBlock;
 use crate::span_parser::PatternCatalog;
 use crate::trace_parser::TopoPattern;
 use mint_bloom::BloomFilter;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use trace_model::{PatternId, SpanView, Trace, TraceId, TraceView, WireSize};
 
@@ -104,6 +104,10 @@ impl QueryResult {
     }
 }
 
+/// One uploaded parameter block and the node it came from, both shared with
+/// every snapshot generation that holds them.
+type StoredBlock = (Arc<str>, ParamBlock);
+
 /// The Mint backend and querier.
 ///
 /// Every heavy segment (catalogs, topology patterns, Bloom filters,
@@ -123,12 +127,17 @@ pub struct MintBackend {
     /// filter's latest state (bits are only ever added between flushes), so
     /// re-publication stays O(active patterns) instead of O(epochs).
     partial_blooms: HashMap<(String, PatternId), BTreeMap<usize, Arc<BloomFilter>>>,
-    params: HashMap<TraceId, Vec<Arc<(String, TraceParams)>>>,
+    /// The uploaded parameter blocks of each sampled trace, encoded as they
+    /// were shipped, with the node each came from.
+    params: HashMap<TraceId, Vec<StoredBlock>>,
+    /// Every node name `params` mentions, so that a block's node costs a
+    /// reference count rather than a string.
+    param_nodes: HashSet<Arc<str>>,
     /// Append-only order log of parameter uploads: `(trace id, index into
     /// the trace's block list)`.  Lets an incremental merge consume only the
-    /// blocks stored since its last watermark, in upload order (the node is
-    /// read back from the block itself).  Overhead is 24 bytes per stored
-    /// block — a small constant factor on the params store it indexes.
+    /// blocks stored since its last watermark, in upload order.  Overhead is
+    /// 24 bytes per stored block — a small constant factor on the params
+    /// store it indexes.
     params_log: Vec<(TraceId, usize)>,
     bloom_bytes: u64,
     params_bytes: u64,
@@ -182,12 +191,28 @@ impl MintBackend {
         self.bloom_bytes += bytes;
     }
 
-    /// Stores the uploaded parameters of a sampled trace from `node`.
-    pub fn store_params(&mut self, node: impl Into<String>, params: TraceParams) {
-        self.params_bytes += params.wire_size() as u64;
-        let blocks = self.params.entry(params.trace_id).or_default();
-        self.params_log.push((params.trace_id, blocks.len()));
-        blocks.push(Arc::new((node.into(), params)));
+    /// Stores the uploaded parameters of a sampled trace from `node`: a
+    /// [`ParamBlock`] as taken from the node's Params Buffer, or a decoded
+    /// [`TraceParams`](crate::TraceParams), which is encoded first.  Storage
+    /// is charged the wire size in the block's header.
+    pub fn store_params(&mut self, node: impl AsRef<str>, params: impl Into<ParamBlock>) {
+        let block = params.into();
+        let node = match self.param_nodes.get(node.as_ref()) {
+            Some(known) => known.clone(),
+            None => self.add_param_node(node.as_ref()),
+        };
+        self.params_bytes += block.wire_size() as u64;
+        let trace_id = block.trace_id();
+        let blocks = self.params.entry(trace_id).or_default();
+        self.params_log.push((trace_id, blocks.len()));
+        blocks.push((node, block));
+    }
+
+    /// Cold half of [`Self::store_params`]: the first block from `node`.
+    fn add_param_node(&mut self, node: &str) -> Arc<str> {
+        let node: Arc<str> = node.into();
+        self.param_nodes.insert(node.clone());
+        node
     }
 
     /// Stores (replaces) the still-partial Bloom filter of ingest shard
@@ -224,11 +249,9 @@ impl MintBackend {
         &self,
         trace_id: TraceId,
         index: usize,
-    ) -> Option<&(String, TraceParams)> {
-        self.params
-            .get(&trace_id)
-            .and_then(|blocks| blocks.get(index))
-            .map(|block| &**block)
+    ) -> Option<(&str, &ParamBlock)> {
+        let (node, block) = self.params.get(&trace_id)?.get(index)?;
+        Some((node, block))
     }
 
     /// The stored Bloom filters, keyed by `(node, topology pattern id)`.
@@ -251,6 +274,7 @@ impl MintBackend {
             blooms: self.blooms.clone(),
             partial_blooms: self.partial_blooms.clone(),
             params: self.params.clone(),
+            param_nodes: self.param_nodes.clone(),
             params_log: Vec::new(),
             bloom_bytes: self.bloom_bytes,
             params_bytes: self.params_bytes,
@@ -296,15 +320,14 @@ impl MintBackend {
     /// 3. Otherwise report a miss.
     pub fn query(&self, trace_id: TraceId) -> QueryResult {
         if let Some(blocks) = self.params.get(&trace_id) {
-            let mut spans = Vec::new();
-            for entry in blocks {
-                let (node, block) = &**entry;
-                if let Some(catalog) = self.catalogs.get(node) {
-                    for span_params in &block.spans {
-                        if let Some(span) = catalog.reconstruct_span(trace_id, span_params) {
-                            spans.push(span);
-                        }
-                    }
+            let mut spans = Vec::with_capacity(blocks.iter().map(|(_, block)| block.len()).sum());
+            for (node, block) in blocks {
+                if let Some(catalog) = self.catalogs.get(&**node) {
+                    // Each record is read where the upload left it.
+                    let rebuilt = block
+                        .spans()
+                        .filter_map(|record| catalog.reconstruct_span(trace_id, &record));
+                    spans.extend(rebuilt);
                 }
             }
             if !spans.is_empty() {
@@ -463,7 +486,7 @@ mod tests {
                 backend.charge_bloom_bytes(outcome.bloom_mounting_bytes);
                 if sampled {
                     if let Some(params) = agent.take_params(trace.trace_id()) {
-                        backend.store_params(sub.node().to_owned(), params);
+                        backend.store_params(sub.node(), params);
                     }
                 }
             }

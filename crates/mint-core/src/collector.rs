@@ -13,7 +13,6 @@ use crate::agent::MintAgent;
 use crate::backend::MintBackend;
 use crate::config::{MintConfig, SamplingMode};
 use crate::cost::{NetworkCost, StorageCost};
-use crate::params::TraceParams;
 use crate::samplers::HeadSampler;
 use crate::trace_parser::TopoPattern;
 use mint_bloom::BloomFilter;
@@ -49,8 +48,10 @@ impl MintCollector {
         self.uploaded_blooms += 1;
     }
 
-    /// Records the upload of one trace's parameter block.
-    pub fn record_params_upload(&mut self, params: &TraceParams) {
+    /// Records the upload of one trace's parameter block: a
+    /// [`ParamBlock`](crate::ParamBlock), charged the figure in its header,
+    /// or a decoded [`TraceParams`](crate::TraceParams), sized by walking it.
+    pub fn record_params_upload(&mut self, params: &impl WireSize) {
         self.network.params_bytes += params.wire_size() as u64;
         self.uploaded_param_blocks += 1;
     }

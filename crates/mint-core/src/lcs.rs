@@ -105,6 +105,7 @@ pub fn tokenize_into<'a>(value: &'a str, out: &mut Vec<&'a str>) {
 /// [`tokenize_into`], but each token is the `(start, end)` byte range it
 /// occupies in `value`.  A buffer of ranges borrows nothing, so a parser can
 /// own one and reuse it for every value it ever sees.
+#[inline]
 pub(crate) fn tokenize_ranges(value: &str, out: &mut Vec<(usize, usize)>) {
     out.clear();
     for_each_token(value, |start, end| out.push((start, end)));

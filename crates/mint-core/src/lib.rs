@@ -81,7 +81,10 @@ pub use lcs::{
     tokenize_into, TokenMaskTable,
 };
 pub use merge::MergeStats;
-pub use params::{PackedVars, ParamValue, ParamsBuffer, SpanParams, TraceParams};
+pub use params::{
+    PackedVars, ParamBlock, ParamRef, ParamValue, Params, ParamsBuffer, ParamsWriter, Slots,
+    SpanParams, SpanRecord, SpanRecords, TraceParams,
+};
 pub use samplers::{EdgeCaseSampler, HeadSampler, SamplerDecision, SymptomSampler};
 pub use sharded::{shard_of, ShardedDeployment};
 pub use snapshot::{BackendSnapshot, QueryHandle};
@@ -90,4 +93,4 @@ pub use span_parser::{
     SpanPatternLibrary, StringTemplate,
 };
 pub use streaming::{EpochStats, StreamingDeployment};
-pub use trace_parser::{ParsedSpan, TopoPattern, TopoPatternLibrary, TraceParser};
+pub use trace_parser::{ParsedSpan, TopoKey, TopoPattern, TopoPatternLibrary, TraceParser};

@@ -375,8 +375,8 @@ impl IncrementalMerger {
         }
 
         // 4. Append the parameter blocks uploaded since the previous
-        //    reconcile, in shard upload order, with span pattern references
-        //    rewritten to canonical ids.
+        //    reconcile, in shard upload order, each copied once with its
+        //    span pattern references patched to canonical ids in the copy.
         for (shard_index, shard) in shards.iter().enumerate() {
             let log = shard.backend.params_log();
             let seen = self.marks[shard_index].params_seen;
@@ -386,16 +386,15 @@ impl IncrementalMerger {
                     .params_block(*trace_id, *block_index)
                     // mint-lint: allow(L003) — the params log only records blocks the backend just stored
                     .expect("params log points at a stored block");
-                let mut params = params.clone();
-                if let Some(marks) = self.marks[shard_index].nodes.get(node) {
-                    for span in params.spans.iter_mut() {
-                        let index = (span.pattern.as_u128() - 1) as usize;
-                        if let Some(&canonical) = marks.span_remap.get(index) {
-                            span.pattern = canonical;
-                        }
-                    }
-                }
-                self.backend.store_params(node.clone(), params);
+                let remap = self.marks[shard_index].nodes.get(node);
+                let remap = remap.map_or(&[][..], |marks| &marks.span_remap);
+                let canonical = |local: PatternId| {
+                    let index = local.as_u128().checked_sub(1);
+                    let canonical = index.and_then(|index| remap.get(index as usize));
+                    canonical.copied().unwrap_or(local)
+                };
+                self.backend
+                    .store_params(node, params.with_patterns(canonical));
                 stats.new_params_blocks += 1;
             }
             self.marks[shard_index].params_seen = log.len();
@@ -757,6 +756,39 @@ mod tests {
             "suffix interned more than prefix: {second:?} vs {first:?}"
         );
         assert_eq!(merger.full_rebuilds(), 0);
+    }
+
+    #[test]
+    fn topology_match_totals_survive_cloning_and_a_merge_round() {
+        // `TopoPatternLibrary::total_matches` is a running total: it must
+        // stay the sum over patterns through `clone` (shards start as copies
+        // of one deployment) and through reconciles, which read the
+        // libraries they merge.
+        let traces = workload(5, 90);
+        let all: Vec<&Trace> = traces.iter().collect();
+        let mut prototype = MintDeployment::new(MintConfig::default());
+        prototype.warm_up(&traces);
+        for trace in &all[..30] {
+            prototype.ingest_trace(trace);
+        }
+        let mut shards = vec![prototype; 2];
+        let mut merger = IncrementalMerger::new();
+        for (index, trace) in all[30..].iter().enumerate() {
+            shards[index % 2].ingest_trace(trace);
+            if index % 20 == 19 {
+                merger.reconcile(&shards);
+            }
+        }
+        merger.reconcile(&shards);
+        let mut mounted = 0;
+        for agent in shards.iter().flat_map(MintDeployment::agents) {
+            let library = agent.topo_library();
+            let summed: u64 = library.iter().map(|(_, _, matches)| matches).sum();
+            assert_eq!(library.total_matches(), summed, "{}", agent.node());
+            assert_eq!(library.total_matches(), agent.stats().sub_traces);
+            mounted += summed;
+        }
+        assert!(mounted > 90);
     }
 
     #[test]

@@ -1,8 +1,23 @@
 //! Variable parameters extracted from spans and the agent-side Params Buffer.
+//!
+//! Parameters are bytes from the moment the span parser extracts them: a
+//! [`ParamsWriter`] encodes each span's record once (`codec`), the
+//! [`ParamsBuffer`] keeps the encoded blocks in a ring of recycled pages
+//! (`buffer`), and a sampled block leaves it as one [`ParamBlock`] that the
+//! collector charges and the backend queries in place.
+//!
+//! The types of this file are the *decoded* form of the same data — what
+//! the owned adapters ([`ParamsBuffer::push`], `SpanParser::parse`,
+//! [`ParamBlock::to_params`]) take and return, and where the [`WireSize`]
+//! model every encoded block is charged by is written down.
 
-use crate::lcs::TokenSeq;
+mod buffer;
+mod codec;
+
+pub use buffer::ParamsBuffer;
+pub use codec::{ParamBlock, ParamRef, Params, ParamsWriter, Slots, SpanRecord, SpanRecords};
+
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::ops::Range;
 use trace_model::{AttrValue, PatternId, SpanId, TraceId, WireSize};
 
@@ -42,6 +57,14 @@ pub struct PackedVars {
 }
 
 impl PackedVars {
+    /// An empty buffer with room for `slots` slots of `text` bytes in all.
+    pub(crate) fn with_capacity(slots: usize, text: usize) -> Self {
+        PackedVars {
+            text: String::with_capacity(text),
+            ends: Vec::with_capacity(slots),
+        }
+    }
+
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -75,45 +98,24 @@ impl PackedVars {
 
     /// Appends one slot made of `tokens`, joined by single spaces.
     pub fn push_slot<S: AsRef<str>>(&mut self, tokens: &[S]) {
-        self.push_token_range(tokens, 0, tokens.len());
-    }
-
-    /// Appends one slot per `(start, end)` token range of `tokens` — the
-    /// matchers' output, written without an intermediate `String` per slot.
-    pub(crate) fn push_ranges<T: TokenSeq + ?Sized>(&mut self, tokens: &T, ranges: &[(u32, u32)]) {
-        for &(start, end) in ranges {
-            self.push_token_range(tokens, start as usize, end as usize);
-        }
-    }
-
-    fn push_token_range<T: TokenSeq + ?Sized>(&mut self, tokens: &T, start: usize, end: usize) {
-        for index in start..end {
-            if index > start {
+        for (index, token) in tokens.iter().enumerate() {
+            if index > 0 {
                 self.text.push(' ');
             }
-            self.text.push_str(tokens.token(index));
+            self.text.push_str(token.as_ref());
         }
         // More than 4 GiB of variable text in one span is cut off at the
         // boundary table's range rather than wrapped.
         self.ends
             .push(u32::try_from(self.text.len()).unwrap_or(u32::MAX));
     }
-
-    /// An exactly-sized copy: what a span's parameters keep of the parser's
-    /// reusable buffer.
-    pub(crate) fn compact_copy(&self) -> PackedVars {
-        PackedVars {
-            text: self.text.as_str().into(),
-            ends: self.ends.as_slice().into(),
-        }
-    }
 }
 
 /// Encoded size of one extracted string variable.  Purely numeric fragments
 /// (counters, ids, offsets) are stored as varints rather than ASCII digits;
 /// everything else is length-prefixed text.
-fn str_var_size(var: &str) -> usize {
-    if !var.is_empty() && var.bytes().all(|b| b.is_ascii_digit()) {
+fn str_var_size(var: &[u8]) -> usize {
+    if !var.is_empty() && var.iter().all(u8::is_ascii_digit) {
         // Tag byte plus one byte per two decimal digits (varint-style).
         1 + var.len().div_ceil(2)
     } else {
@@ -172,7 +174,8 @@ impl SpanParams {
     fn param_wire_size(&self, param: &ParamValue) -> usize {
         1 + match param {
             ParamValue::StrVars { first, count } => {
-                self.str_vars(*first, *count).map(str_var_size).sum()
+                let slots = self.str_vars(*first, *count);
+                slots.map(|slot| str_var_size(slot.as_bytes())).sum()
             }
             ParamValue::Num { bucket, offset } => num_param_size(*bucket, *offset),
             ParamValue::Bool(_) => 1,
@@ -240,99 +243,6 @@ impl WireSize for TraceParams {
     }
 }
 
-/// The agent-side Params Buffer (§4.1): a FIFO queue of per-trace parameter
-/// blocks bounded by a byte budget (default 4 MiB).  When the buffer is full
-/// the oldest block is evicted — its parameters are lost, which is acceptable
-/// because only the *variability* part is dropped; the commonality part has
-/// already been recorded in the pattern libraries.
-#[derive(Debug, Clone)]
-pub struct ParamsBuffer {
-    capacity_bytes: usize,
-    used_bytes: usize,
-    blocks: VecDeque<TraceParams>,
-    evicted_blocks: u64,
-}
-
-impl ParamsBuffer {
-    /// Creates a buffer with the given byte budget.
-    pub fn new(capacity_bytes: usize) -> Self {
-        ParamsBuffer {
-            capacity_bytes: capacity_bytes.max(1),
-            used_bytes: 0,
-            blocks: VecDeque::new(),
-            evicted_blocks: 0,
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Bytes currently held.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// Number of blocks currently held.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the buffer holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Number of blocks evicted because the buffer was full.
-    pub fn evicted_blocks(&self) -> u64 {
-        self.evicted_blocks
-    }
-
-    /// Pushes a parameter block, evicting from the front until it fits.
-    pub fn push(&mut self, block: TraceParams) {
-        let size = block.wire_size();
-        while self.used_bytes + size > self.capacity_bytes && !self.blocks.is_empty() {
-            if let Some(evicted) = self.blocks.pop_front() {
-                self.used_bytes -= evicted.wire_size();
-                self.evicted_blocks += 1;
-            }
-        }
-        self.used_bytes += size;
-        self.blocks.push_back(block);
-    }
-
-    /// Removes and returns the block for `trace_id`, if still buffered.
-    ///
-    /// The search runs from the newest block: a trace is marked sampled right
-    /// after its sub-trace was ingested, so its block is at or near the back.
-    /// Should one trace id be buffered more than once (the same trace ingested
-    /// again), each call takes the most recently pushed of its blocks and
-    /// leaves the older ones, which still leave oldest-first by eviction.
-    pub fn take(&mut self, trace_id: TraceId) -> Option<TraceParams> {
-        let idx = self.blocks.iter().rposition(|b| b.trace_id == trace_id)?;
-        let block = self.blocks.remove(idx)?;
-        self.used_bytes -= block.wire_size();
-        Some(block)
-    }
-
-    /// Whether a block for `trace_id` is currently buffered.
-    pub fn contains(&self, trace_id: TraceId) -> bool {
-        self.blocks.iter().rev().any(|b| b.trace_id == trace_id)
-    }
-
-    /// Iterates over buffered blocks from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceParams> {
-        self.blocks.iter()
-    }
-
-    /// Drains every block out of the buffer.
-    pub fn drain(&mut self) -> Vec<TraceParams> {
-        self.used_bytes = 0;
-        self.blocks.drain(..).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,13 +299,12 @@ mod tests {
         let mut vars = PackedVars::default();
         vars.push_slot(&["cart", ":", "7"]);
         vars.push_slot::<&str>(&[]);
-        vars.push_ranges(&["a", "b", "c"][..], &[(1, 3)]);
+        vars.push_slot(&["b", "c"]);
         assert_eq!(vars.len(), 3);
         assert_eq!(vars.slot(0), Some("cart : 7"));
         assert_eq!(vars.slot(1), Some(""));
         assert_eq!(vars.slots(1..9).collect::<Vec<_>>(), ["", "b c"]);
         assert_eq!(vars.slot(3), None);
-        assert_eq!(vars.compact_copy(), vars);
         vars.clear();
         assert!(vars.is_empty());
     }
@@ -409,6 +318,9 @@ mod tests {
         assert_eq!(buffer.used_bytes(), size);
         assert_eq!(buffer.len(), 1);
         assert!(buffer.contains(TraceId::from_u128(1)));
+        // What is resident is the encoded block, in whole pages.
+        assert!(buffer.encoded_bytes() > 0);
+        assert!(buffer.resident_bytes() >= ParamsBuffer::PAGE_BYTES);
     }
 
     #[test]
@@ -429,7 +341,8 @@ mod tests {
         buffer.push(block(5, 1, 10));
         buffer.push(block(6, 1, 10));
         let taken = buffer.take(TraceId::from_u128(5)).unwrap();
-        assert_eq!(taken.trace_id, TraceId::from_u128(5));
+        assert_eq!(taken.trace_id(), TraceId::from_u128(5));
+        assert_eq!(taken.wire_size(), block(5, 1, 10).wire_size());
         assert!(!buffer.contains(TraceId::from_u128(5)));
         assert!(buffer.take(TraceId::from_u128(5)).is_none());
         assert_eq!(buffer.len(), 1);
@@ -445,14 +358,18 @@ mod tests {
         buffer.push(new.clone());
         assert_eq!(buffer.used_bytes(), total);
 
-        assert_eq!(buffer.take(TraceId::from_u128(7)), Some(new.clone()));
+        let taken = |buffer: &mut ParamsBuffer| {
+            let block = buffer.take(TraceId::from_u128(7));
+            block.map(|block| block.to_params())
+        };
+        assert_eq!(taken(&mut buffer), Some(new.clone()));
         assert_eq!(buffer.used_bytes(), total - new.wire_size());
         assert!(buffer.contains(TraceId::from_u128(7)));
         // What is left keeps its FIFO order: the older block is still first.
-        let order: Vec<usize> = buffer.iter().map(TraceParams::len).collect();
+        let order: Vec<usize> = buffer.iter().map(|block| block.len()).collect();
         assert_eq!(order, [old.len(), filler.len()]);
 
-        assert_eq!(buffer.take(TraceId::from_u128(7)), Some(old));
+        assert_eq!(taken(&mut buffer), Some(old));
         assert!(!buffer.contains(TraceId::from_u128(7)));
         assert_eq!(buffer.used_bytes(), filler.wire_size());
     }
@@ -463,20 +380,33 @@ mod tests {
         buffer.push(block(1, 1, 10));
         buffer.push(block(2, 1, 10));
         let drained = buffer.drain();
-        assert_eq!(drained.len(), 2);
+        assert_eq!(drained, [block(1, 1, 10), block(2, 1, 10)]);
         assert!(buffer.is_empty());
         assert_eq!(buffer.used_bytes(), 0);
+        assert_eq!(buffer.encoded_bytes(), 0);
     }
 
     #[test]
     fn oversized_block_is_still_accepted() {
         // A single block larger than the budget is kept (the buffer cannot
         // split blocks); it simply occupies the whole buffer.
+        for capacity in [64, 1] {
+            let mut buffer = ParamsBuffer::new(capacity);
+            buffer.push(block(1, 3, 200));
+            assert_eq!(buffer.len(), 1);
+            assert!(buffer.used_bytes() > capacity);
+            buffer.push(block(2, 1, 10));
+            assert!(!buffer.contains(TraceId::from_u128(1)));
+            assert_eq!(buffer.len(), 1);
+            assert_eq!(buffer.evicted_blocks(), 1);
+        }
+        // A block of several pages, and what it leaves behind when it goes.
         let mut buffer = ParamsBuffer::new(64);
-        buffer.push(block(1, 3, 200));
-        assert_eq!(buffer.len(), 1);
+        buffer.push(block(1, 4, 30_000));
+        assert!(buffer.resident_bytes() > 120_000);
         buffer.push(block(2, 1, 10));
-        assert!(!buffer.contains(TraceId::from_u128(1)));
+        assert!(buffer.resident_bytes() <= 3 * ParamsBuffer::PAGE_BYTES);
+        assert_eq!(buffer.drain(), [block(2, 1, 10)]);
     }
 
     #[test]

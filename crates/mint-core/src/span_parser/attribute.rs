@@ -6,13 +6,13 @@ use crate::intern::{
     value_fingerprint, InternedPrefixIndex, InternedTemplate, Interner, PrefilterStats,
 };
 use crate::lcs::{tokenize_ranges, RangeTokens, TokenMaskTable, TokenSeq};
-use crate::params::{PackedVars, ParamValue};
+use crate::params::ParamsWriter;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use trace_model::AttrValue;
 
 /// The working memory of one parser, reused for every value it parses so the
-/// steady-state path allocates only the parameters it returns.  A
+/// steady-state path allocates nothing.  A
 /// [`SpanParser`](super::SpanParser) owns one and lends it to its
 /// per-attribute parsers in turn; nothing in it outlives a `parse` call
 /// except capacity.
@@ -33,21 +33,6 @@ pub struct ParseScratch {
     masks: TokenMaskTable,
     /// The span-pattern probe `[service, name, kind, (key, attr pattern)…]`.
     pub(super) pattern_key: Vec<u32>,
-    /// Variable text of the span being parsed, one slot per template
-    /// variable, in attribute order.
-    pub(super) vars: PackedVars,
-}
-
-impl ParseScratch {
-    /// The variable text extracted since the last [`Self::clear_vars`].
-    pub fn vars(&self) -> &PackedVars {
-        &self.vars
-    }
-
-    /// Forgets the extracted variable text (capacity is kept).
-    pub fn clear_vars(&mut self) {
-        self.vars.clear();
-    }
 }
 
 /// The pattern component produced by parsing one attribute value.
@@ -344,18 +329,19 @@ impl StringAttributeParser {
     /// Returns `(template_id, params)`.  An owned convenience over
     /// [`Self::parse_into`], which is what the ingest path calls.
     pub fn parse(&mut self, value: &str) -> (usize, Vec<String>) {
-        let mut scratch = ParseScratch::default();
-        let id = self.parse_into(value, &mut scratch);
-        let vars = &scratch.vars;
-        (id, vars.slots(0..vars.len()).map(str::to_owned).collect())
+        let mut writer = ParamsWriter::default();
+        let slots = writer.begin_str();
+        let id = self.parse_into(value, &mut ParseScratch::default(), &mut writer);
+        writer.end_str();
+        (id, writer.slots_from(slots).map(str::to_owned).collect())
     }
 
-    /// Parses a raw string value, appending one slot per variable of the
-    /// matched template to `scratch`'s variable text, and returns the
-    /// template id.  In steady state — where the structural fast path hits —
-    /// nothing is allocated: the value is tokenized into byte ranges, the
-    /// candidate list and slot ranges live in `scratch`, and the slot
-    /// contents are copied straight from the value into the packed text.
+    /// Parses a raw string value, writing one slot per variable of the
+    /// matched template to `writer`, and returns the template id.  In steady
+    /// state — where the structural fast path hits — nothing is allocated:
+    /// the value is tokenized into byte ranges, the candidate list and slot
+    /// ranges live in `scratch`, and the slot contents are copied straight
+    /// from the value into the record being written.
     ///
     /// Interning is deliberately *lazy*: the structural fast path — which
     /// wins for almost every steady-state value — runs on the value's own
@@ -364,7 +350,12 @@ impl StringAttributeParser {
     /// string compares it replaces (measured).  Only when the structural
     /// probe misses is the value lowered to dense `&[u32]` ids for the
     /// prefiltered bit-parallel similarity fallback.
-    pub fn parse_into(&mut self, value: &str, scratch: &mut ParseScratch) -> usize {
+    pub fn parse_into(
+        &mut self,
+        value: &str,
+        scratch: &mut ParseScratch,
+        writer: &mut ParamsWriter,
+    ) -> usize {
         tokenize_ranges(value, &mut scratch.tokens);
         let tokens = RangeTokens {
             value,
@@ -384,7 +375,7 @@ impl StringAttributeParser {
             .sort_unstable_by_key(|&id| (std::cmp::Reverse(self.interned[id].const_count()), id));
         for &id in &scratch.candidates {
             if self.templates[id].match_spans(&tokens, &mut scratch.ranges) {
-                scratch.vars.push_ranges(&tokens, &scratch.ranges);
+                writer.push_slots(&tokens, &scratch.ranges);
                 return id;
             }
         }
@@ -407,13 +398,13 @@ impl StringAttributeParser {
         match best {
             Some((id, score)) if score >= self.threshold => {
                 if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
-                    scratch.vars.push_ranges(&tokens, &scratch.ranges);
+                    writer.push_slots(&tokens, &scratch.ranges);
                 } else {
-                    self.generalize_to_fit(id, value, scratch);
+                    self.generalize_to_fit(id, value, scratch, writer);
                 }
                 id
             }
-            _ => self.learn_template(value, scratch),
+            _ => self.learn_template(value, scratch, writer),
         }
     }
 
@@ -422,7 +413,13 @@ impl StringAttributeParser {
     /// extracts.  Generalization never grows the vocabulary (merged
     /// constants are a subset of the old ones), so the value ids computed
     /// before it remain valid.
-    fn generalize_to_fit(&mut self, id: usize, value: &str, scratch: &mut ParseScratch) {
+    fn generalize_to_fit(
+        &mut self,
+        id: usize,
+        value: &str,
+        scratch: &mut ParseScratch,
+        writer: &mut ParamsWriter,
+    ) {
         let tokens = RangeTokens {
             value,
             ranges: &scratch.tokens,
@@ -434,9 +431,9 @@ impl StringAttributeParser {
             self.index.rebuild(&self.interned);
         }
         if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
-            scratch.vars.push_ranges(&tokens, &scratch.ranges);
+            writer.push_slots(&tokens, &scratch.ranges);
         } else {
-            scratch.vars.push_slot(&[value]);
+            writer.push_slot(value);
         }
     }
 
@@ -445,7 +442,12 @@ impl StringAttributeParser {
     /// counters) do not each become a distinct pattern.  Interning the new
     /// constants grows the vocabulary, so the value ids are refreshed before
     /// extraction.
-    fn learn_template(&mut self, value: &str, scratch: &mut ParseScratch) -> usize {
+    fn learn_template(
+        &mut self,
+        value: &str,
+        scratch: &mut ParseScratch,
+        writer: &mut ParamsWriter,
+    ) -> usize {
         let tokens = RangeTokens {
             value,
             ranges: &scratch.tokens,
@@ -454,7 +456,7 @@ impl StringAttributeParser {
         let id = self.add_template(StringTemplate::from_raw_tokens(&owned));
         self.interner.lookup_into(&owned, &mut scratch.ids);
         if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
-            scratch.vars.push_ranges(&tokens, &scratch.ranges);
+            writer.push_slots(&tokens, &scratch.ranges);
         }
         id
     }
@@ -488,40 +490,38 @@ impl AttributeParser {
         }
     }
 
-    /// Parses a value into its pattern component and parameter.  String
-    /// parameters point into `scratch`'s variable text, to which the value's
-    /// slots are appended.
+    /// Parses a value into its pattern component and writes its parameter
+    /// — the next one of the span record `writer` has open.
     pub fn parse_into(
         &mut self,
         value: &AttrValue,
         scratch: &mut ParseScratch,
-    ) -> (AttrPattern, ParamValue) {
+        writer: &mut ParamsWriter,
+    ) -> AttrPattern {
         match (self, value) {
             (AttributeParser::Strings(parser), AttrValue::Str(s)) => {
-                let first = scratch.vars.len();
-                let template_id = parser.parse_into(s, scratch);
-                let count = scratch.vars.len() - first;
-                (
-                    AttrPattern::Template { template_id },
-                    ParamValue::StrVars {
-                        first: first as u32,
-                        count: count as u32,
-                    },
-                )
+                writer.begin_str();
+                let template_id = parser.parse_into(s, scratch, writer);
+                writer.end_str();
+                AttrPattern::Template { template_id }
             }
             (AttributeParser::Numeric(bucketer), value) if value.is_numeric() => {
                 // mint-lint: allow(L003) — the match guard `value.is_numeric()` makes as_f64 infallible here
                 let v = value.as_f64().expect("numeric value");
                 let (bucket, offset) = bucketer.parse(v);
-                (AttrPattern::Numeric, ParamValue::Num { bucket, offset })
+                writer.push_num(bucket, offset);
+                AttrPattern::Numeric
             }
             (AttributeParser::Booleans, AttrValue::Bool(b)) => {
-                (AttrPattern::Flag, ParamValue::Bool(*b))
+                writer.push_bool(*b);
+                AttrPattern::Flag
             }
             // Type drift (e.g. a key that is usually numeric suddenly holds a
             // string): keep the raw value as the parameter.
-            // mint-lint: allow(L004) — cold fallback arm, hit only on type drift; the raw value must be owned to store
-            (_, value) => (AttrPattern::Flag, ParamValue::Raw(value.clone())),
+            (_, value) => {
+                writer.push_raw(value);
+                AttrPattern::Flag
+            }
         }
     }
 
@@ -548,6 +548,29 @@ impl AttributeParser {
 mod tests {
     use super::*;
     use crate::lcs::tokenize_borrowed;
+    use crate::params::ParamValue;
+    use trace_model::{PatternId, SpanId, TraceId};
+
+    /// The parameters `values` parse into, as one span's, with the pattern
+    /// component of the last.
+    fn parse_as_span(
+        parser: &mut AttributeParser,
+        values: &[AttrValue],
+    ) -> (AttrPattern, Vec<ParamValue>, Vec<String>) {
+        let mut writer = ParamsWriter::default();
+        writer.begin_block(TraceId::from_u128(1));
+        writer.begin_span(SpanId::from_u64(1), SpanId::INVALID, 0, (0, 0.0), false);
+        let mut scratch = ParseScratch::default();
+        let mut pattern = AttrPattern::Flag;
+        for value in values {
+            pattern = parser.parse_into(value, &mut scratch, &mut writer);
+        }
+        writer.end_span(PatternId::from_u128(1));
+        let params = writer.last_record().unwrap().to_params();
+        let slots = params.vars.slots(0..params.vars.len());
+        let slots = slots.map(str::to_owned).collect();
+        (pattern, params.attr_params, slots)
+    }
 
     #[test]
     fn string_parser_reuses_templates_for_similar_values() {
@@ -665,11 +688,11 @@ mod tests {
     #[test]
     fn numeric_parser_roundtrips() {
         let mut parser = AttributeParser::Numeric(NumericBucketer::default());
-        let (pattern, param) = parser.parse_into(&AttrValue::Int(57), &mut ParseScratch::default());
+        let (pattern, params, _) = parse_as_span(&mut parser, &[AttrValue::Int(57)]);
         assert_eq!(pattern, AttrPattern::Numeric);
-        let (bucket, offset) = match param {
+        let (bucket, offset) = match params[0] {
             ParamValue::Num { bucket, offset } => (bucket, offset),
-            other => panic!("unexpected param {other:?}"),
+            ref other => panic!("unexpected param {other:?}"),
         };
         let rebuilt = NumericBucketer::default().reconstruct(bucket, offset);
         assert!((rebuilt - 57.0).abs() < 1e-9);
@@ -678,36 +701,32 @@ mod tests {
     #[test]
     fn boolean_parser_emits_flag() {
         let mut parser = AttributeParser::Booleans;
-        let (pattern, param) =
-            parser.parse_into(&AttrValue::Bool(true), &mut ParseScratch::default());
+        let (pattern, params, _) = parse_as_span(&mut parser, &[AttrValue::Bool(true)]);
         assert_eq!(pattern, AttrPattern::Flag);
-        assert_eq!(param, ParamValue::Bool(true));
+        assert_eq!(params, [ParamValue::Bool(true)]);
     }
 
     #[test]
     fn type_drift_falls_back_to_raw() {
         let mut parser = AttributeParser::Numeric(NumericBucketer::default());
-        let (pattern, param) =
-            parser.parse_into(&AttrValue::str("oops"), &mut ParseScratch::default());
+        let (pattern, params, _) = parse_as_span(&mut parser, &[AttrValue::str("oops")]);
         assert_eq!(pattern, AttrPattern::Flag);
-        assert_eq!(param, ParamValue::Raw(AttrValue::str("oops")));
+        assert_eq!(params, [ParamValue::Raw(AttrValue::str("oops"))]);
     }
 
     #[test]
     fn string_params_point_into_the_shared_variable_text() {
         let mut parser = AttributeParser::Strings(StringAttributeParser::new(0.8));
-        let mut scratch = ParseScratch::default();
-        parser.parse_into(&AttrValue::str("get cart 1"), &mut scratch);
-        scratch.clear_vars();
-        // Two attributes of one span append to the same buffer.
-        let (_, first) = parser.parse_into(&AttrValue::str("get cart 22"), &mut scratch);
-        let (pattern, second) = parser.parse_into(&AttrValue::str("get cart 333"), &mut scratch);
-        assert_eq!(first, ParamValue::StrVars { first: 0, count: 1 });
-        assert_eq!(second, ParamValue::StrVars { first: 1, count: 1 });
-        assert_eq!(
-            scratch.vars().slots(0..2).collect::<Vec<_>>(),
-            ["22", "333"]
-        );
+        parse_as_span(&mut parser, &[AttrValue::str("get cart 1")]);
+        // Two attributes of one span decode into the same buffer.
+        let values = [
+            AttrValue::str("get cart 22"),
+            AttrValue::str("get cart 333"),
+        ];
+        let (pattern, params, slots) = parse_as_span(&mut parser, &values);
+        assert_eq!(params[0], ParamValue::StrVars { first: 0, count: 1 });
+        assert_eq!(params[1], ParamValue::StrVars { first: 1, count: 1 });
+        assert_eq!(slots, ["22", "333"]);
         assert_eq!(AttrPattern::from_code(pattern.code()), pattern);
     }
 

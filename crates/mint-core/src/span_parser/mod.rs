@@ -3,8 +3,9 @@
 //! The [`SpanParser`] owns one [`AttributeParser`](attribute::AttributeParser)
 //! per attribute key plus a numeric bucketer for span durations.  Parsing a
 //! span yields the id of its [`SpanPattern`] (registered in the
-//! [`SpanPatternLibrary`] the first time it is seen) and the span's variable
-//! [`SpanParams`].  A read-only [`PatternCatalog`]
+//! [`SpanPatternLibrary`] the first time it is seen) and writes the span's
+//! variable parameters as one record of a
+//! [`ParamsWriter`].  A read-only [`PatternCatalog`]
 //! snapshot of everything the parser has learned is what the collector ships
 //! to the backend, and what the backend uses to reconstruct exact or
 //! approximate spans at query time.
@@ -23,7 +24,7 @@ pub use template::{StringTemplate, TemplateToken};
 
 use crate::config::MintConfig;
 use crate::intern::{BuildFxHasher, Interner};
-use crate::params::{ParamValue, SpanParams};
+use crate::params::{ParamRef, ParamsWriter, SpanParams, SpanRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use trace_model::{AttrValue, Attributes, PatternId, Span, SpanKind, SpanStatus, TraceId};
@@ -255,28 +256,30 @@ impl PatternCatalog {
             + 16
     }
 
-    /// Reconstructs the exact span described by `params` (pattern +
-    /// variability), or `None` if the pattern id is unknown.
-    pub fn reconstruct_span(&self, trace_id: TraceId, params: &SpanParams) -> Option<Span> {
-        let pattern = self.spans.get(params.pattern)?;
+    /// Reconstructs the exact span `params` describes (pattern +
+    /// variability), reading the record where it lies, or `None` if the
+    /// pattern id is unknown.
+    pub fn reconstruct_span(&self, trace_id: TraceId, params: &SpanRecord<'_>) -> Option<Span> {
+        let pattern = self.spans.get(params.pattern())?;
         let mut attributes = Attributes::with_capacity(pattern.attrs.len());
-        for (idx, (key, attr_pattern)) in pattern.attrs.iter().enumerate() {
-            let value = self.reconstruct_attr(key, attr_pattern, params, idx);
+        let mut values = params.params();
+        for (key, attr_pattern) in &pattern.attrs {
+            let value = self.reconstruct_attr(key, attr_pattern, values.next());
             attributes.insert(key.clone(), value);
         }
         let duration = self
             .duration_bucketer
-            .reconstruct(params.duration_bucket, params.duration_offset)
+            .reconstruct(params.duration_bucket(), params.duration_offset())
             .max(0.0)
             .round() as u64;
-        let span = Span::builder(trace_id, params.span_id)
-            .parent(params.parent_id)
+        let span = Span::builder(trace_id, params.span_id())
+            .parent(params.parent_id())
             .name(pattern.name.clone())
             .service(pattern.service.clone())
             .kind(pattern.kind)
-            .start_time_us(params.start_time_us)
+            .start_time_us(params.start_time_us())
             .duration_us(duration)
-            .status(if params.status_error {
+            .status(if params.status_error() {
                 SpanStatus::Error
             } else {
                 SpanStatus::Ok
@@ -286,18 +289,17 @@ impl PatternCatalog {
         Some(span)
     }
 
-    /// The exact value of attribute `idx` of `params`' span.
+    /// The exact value of the attribute `key` whose pattern component is
+    /// `pattern` and whose parameter is `param`.
     fn reconstruct_attr(
         &self,
         key: &str,
         pattern: &AttrPattern,
-        params: &SpanParams,
-        idx: usize,
+        param: Option<ParamRef<'_>>,
     ) -> AttrValue {
         let template = |template_id: usize| self.templates.get(key)?.get(template_id);
-        match (pattern, params.attr_params.get(idx)) {
-            (AttrPattern::Template { template_id }, Some(ParamValue::StrVars { first, count })) => {
-                let vars = params.str_vars(*first, *count);
+        match (pattern, param) {
+            (AttrPattern::Template { template_id }, Some(ParamRef::StrVars(vars))) => {
                 AttrValue::Str(match template(*template_id) {
                     Some(template) => template.reconstruct_from(vars),
                     None => vars.collect::<Vec<_>>().join(" "),
@@ -306,13 +308,13 @@ impl PatternCatalog {
             (AttrPattern::Template { template_id }, _) => AttrValue::Str(
                 template(*template_id).map_or_else(|| "<*>".to_owned(), StringTemplate::masked),
             ),
-            (AttrPattern::Numeric, Some(ParamValue::Num { bucket, offset })) => {
+            (AttrPattern::Numeric, Some(ParamRef::Num { bucket, offset })) => {
                 let bucketer = self.bucketers.get(key).copied().unwrap_or_default();
-                AttrValue::Float(bucketer.reconstruct(*bucket, *offset))
+                AttrValue::Float(bucketer.reconstruct(bucket, offset))
             }
             (AttrPattern::Numeric, _) => AttrValue::Str("<num>".to_owned()),
-            (AttrPattern::Flag, Some(ParamValue::Bool(b))) => AttrValue::Bool(*b),
-            (AttrPattern::Flag, Some(ParamValue::Raw(value))) => value.clone(),
+            (AttrPattern::Flag, Some(ParamRef::Bool(b))) => AttrValue::Bool(b),
+            (AttrPattern::Flag, Some(ParamRef::Raw(value))) => value,
             (AttrPattern::Flag, _) => AttrValue::Str("<*>".to_owned()),
         }
     }
@@ -376,6 +378,8 @@ pub struct SpanParser {
     library: SpanPatternLibrary,
     parsed_spans: u64,
     scratch: ParseScratch,
+    /// What the owned [`Self::parse`] writes its one record into.
+    owned: ParamsWriter,
 }
 
 impl SpanParser {
@@ -392,6 +396,7 @@ impl SpanParser {
             library: SpanPatternLibrary::new(),
             parsed_spans: 0,
             scratch: ParseScratch::default(),
+            owned: ParamsWriter::default(),
         }
     }
 
@@ -451,12 +456,32 @@ impl SpanParser {
     }
 
     /// Parses one span into its pattern id and variable parameters.
-    /// The boolean is `true` when a new span pattern was created.
-    // mint-lint: hot
+    /// The boolean is `true` when a new span pattern was created.  An owned
+    /// convenience over [`Self::parse_into`]: the record is written into the
+    /// parser's own writer and decoded.
     pub fn parse(&mut self, span: &Span) -> (PatternId, SpanParams, bool) {
+        let mut writer = std::mem::take(&mut self.owned);
+        writer.begin_block(span.trace_id());
+        let (pattern_id, is_new) = self.parse_into(span, &mut writer);
+        let params = writer.last_record().map(|record| record.to_params());
+        self.owned = writer;
+        // mint-lint: allow(L003) — `parse_into` has just closed the record `last_record` reads
+        (pattern_id, params.expect("a record was written"), is_new)
+    }
+
+    /// Parses one span into its pattern id, writing its variable parameters
+    /// as the next record of `writer`'s block.  The boolean is `true` when a
+    /// new span pattern was created.  Nothing is allocated for a span whose
+    /// pattern and templates are known.
+    pub fn parse_into(&mut self, span: &Span, writer: &mut ParamsWriter) -> (PatternId, bool) {
         self.parsed_spans += 1;
-        let mut attr_params = Vec::with_capacity(span.attributes().len());
-        self.scratch.vars.clear();
+        writer.begin_span(
+            span.span_id(),
+            span.parent_id(),
+            span.start_time_us(),
+            self.duration_bucketer.parse(span.duration_us() as f64),
+            span.status().is_error(),
+        );
         self.scratch.pattern_key.clear();
         let (service, name) = (
             self.names.intern(span.service()),
@@ -468,9 +493,8 @@ impl SpanParser {
         for (key, value) in span.attributes().iter() {
             let key_id = self.key_id(key, value);
             let parser = &mut self.attr_parsers[key_id as usize - 1].parser;
-            let (pattern, param) = parser.parse_into(value, &mut self.scratch);
+            let pattern = parser.parse_into(value, &mut self.scratch, writer);
             self.scratch.pattern_key.extend([key_id, pattern.code()]);
-            attr_params.push(param);
         }
         let (pattern_id, is_new) = match self.pattern_ids.get(self.scratch.pattern_key.as_slice()) {
             Some(&id) => {
@@ -479,23 +503,11 @@ impl SpanParser {
             }
             None => self.register_pattern(span),
         };
-        let (duration_bucket, duration_offset) =
-            self.duration_bucketer.parse(span.duration_us() as f64);
-        let params = SpanParams {
-            span_id: span.span_id(),
-            parent_id: span.parent_id(),
-            pattern: pattern_id,
-            start_time_us: span.start_time_us(),
-            duration_bucket,
-            duration_offset,
-            status_error: span.status().is_error(),
-            attr_params,
-            vars: self.scratch.vars.compact_copy(),
-        };
-        (pattern_id, params, is_new)
+        writer.end_span(pattern_id);
+        (pattern_id, is_new)
     }
 
-    /// Cold half of [`Self::parse`]: the probe in `scratch` missed, so the
+    /// Cold half of [`Self::parse_into`]: the probe in `scratch` missed, so the
     /// owned, serialisable [`SpanPattern`] is built from it and registered.
     fn register_pattern(&mut self, span: &Span) -> (PatternId, bool) {
         let key = self.scratch.pattern_key.as_slice();
@@ -674,10 +686,12 @@ mod tests {
         let sample: Vec<Span> = (0..20).map(|i| span(i, "db", "query", i, 500)).collect();
         parser.warm_up(&sample);
         let original = span(42, "db", "query", 4211, 777);
-        let (_, params, _) = parser.parse(&original);
+        let mut writer = ParamsWriter::default();
+        writer.begin_block(original.trace_id());
+        parser.parse_into(&original, &mut writer);
         let catalog = parser.catalog();
         let rebuilt = catalog
-            .reconstruct_span(original.trace_id(), &params)
+            .reconstruct_span(original.trace_id(), &writer.last_record().unwrap())
             .unwrap();
         assert_eq!(rebuilt.span_id(), original.span_id());
         assert_eq!(rebuilt.service(), original.service());

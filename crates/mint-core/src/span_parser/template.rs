@@ -201,7 +201,9 @@ impl StringTemplate {
     ) -> bool {
         let matched = self.match_spans(tokens, ranges);
         if matched {
-            vars.push_ranges(tokens, ranges);
+            for &(start, end) in ranges.iter() {
+                vars.push_slot(&tokens[start as usize..end as usize]);
+            }
         }
         matched
     }
@@ -281,61 +283,75 @@ impl StringTemplate {
         tokens: &T,
         spans: &mut Vec<(u32, u32)>,
     ) -> bool {
+        // The table is taken out of its thread-local slot for the duration
+        // of the match and put back after it, so that the loops below run on
+        // plain locals whatever the inliner makes of the call chain above.
+        let mut can = MATCH_SCRATCH.take();
+        let matched = self.match_exact_spans_in(tokens, spans, &mut can);
+        MATCH_SCRATCH.set(can);
+        matched
+    }
+
+    /// [`Self::match_exact_spans`] on the reachability table `can`.
+    // mint-lint: hot
+    fn match_exact_spans_in<T: TokenSeq + ?Sized>(
+        &self,
+        tokens: &T,
+        spans: &mut Vec<(u32, u32)>,
+        can: &mut Vec<bool>,
+    ) -> bool {
         spans.clear();
         let n = self.tokens.len();
         let m = tokens.len();
         let width = m + 1;
-        MATCH_SCRATCH.with(|cell| {
-            let can = &mut *cell.borrow_mut();
-            can.clear();
-            can.resize((n + 1) * width, false);
-            // Base row: an exhausted template matches only an exhausted value.
-            can[n * width + m] = true;
-            for i in (0..n).rev() {
-                let (lower, upper) = can.split_at_mut((i + 1) * width);
-                let row = &mut lower[i * width..];
-                let next = &upper[..width];
-                match &self.tokens[i] {
-                    TemplateToken::Const(expected) => {
-                        for pos in 0..m {
-                            row[pos] = tokens.token_is(pos, expected) && next[pos + 1];
-                        }
-                        row[m] = false;
+        can.clear();
+        can.resize((n + 1) * width, false);
+        // Base row: an exhausted template matches only an exhausted value.
+        can[n * width + m] = true;
+        for i in (0..n).rev() {
+            let (lower, upper) = can.split_at_mut((i + 1) * width);
+            let row = &mut lower[i * width..];
+            let next = &upper[..width];
+            match &self.tokens[i] {
+                TemplateToken::Const(expected) => {
+                    for pos in 0..m {
+                        row[pos] = tokens.token_is(pos, expected) && next[pos + 1];
                     }
-                    TemplateToken::Var => {
-                        // A slot may consume any suffix-aligned span:
-                        // row[pos] = OR of next[pos..=m].
-                        let mut any = next[m];
-                        row[m] = any;
-                        for pos in (0..m).rev() {
-                            any |= next[pos];
-                            row[pos] = any;
-                        }
+                    row[m] = false;
+                }
+                TemplateToken::Var => {
+                    // A slot may consume any suffix-aligned span:
+                    // row[pos] = OR of next[pos..=m].
+                    let mut any = next[m];
+                    row[m] = any;
+                    for pos in (0..m).rev() {
+                        any |= next[pos];
+                        row[pos] = any;
                     }
                 }
             }
-            if !can[0] {
-                return false;
-            }
-            // Forward reconstruction: every step stays on a reachable cell.
-            let mut pos = 0usize;
-            for (i, token) in self.tokens.iter().enumerate() {
-                match token {
-                    TemplateToken::Const(_) => pos += 1,
-                    TemplateToken::Var => {
-                        let next = &can[(i + 1) * width..(i + 2) * width];
-                        let end = (pos..=m)
-                            .find(|&p| next[p])
-                            // mint-lint: allow(L003) — the backward pruning pass guarantees every reachable cell has a reachable successor
-                            .expect("reachable Var cell must have a reachable successor");
-                        spans.push((pos as u32, end as u32));
-                        pos = end;
-                    }
+        }
+        if !can[0] {
+            return false;
+        }
+        // Forward reconstruction: every step stays on a reachable cell.
+        let mut pos = 0usize;
+        for (i, token) in self.tokens.iter().enumerate() {
+            match token {
+                TemplateToken::Const(_) => pos += 1,
+                TemplateToken::Var => {
+                    let next = &can[(i + 1) * width..(i + 2) * width];
+                    let end = (pos..=m)
+                        .find(|&p| next[p])
+                        // mint-lint: allow(L003) — the backward pruning pass guarantees every reachable cell has a reachable successor
+                        .expect("reachable Var cell must have a reachable successor");
+                    spans.push((pos as u32, end as u32));
+                    pos = end;
                 }
             }
-            debug_assert_eq!(pos, m);
-            true
-        })
+        }
+        debug_assert_eq!(pos, m);
+        true
     }
 
     /// Test-only view of the greedy tier as owned parameters.

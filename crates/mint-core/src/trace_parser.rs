@@ -2,9 +2,11 @@
 //! trace metadata mounted on each pattern through a Bloom filter.
 
 use crate::config::MintConfig;
+use crate::intern::BuildFxHasher;
 use mint_bloom::BloomFilter;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt;
 use trace_model::{PatternId, SpanId, SubTrace, TraceId};
 
 /// The topology pattern of a sub-trace: which span patterns act as local
@@ -34,6 +36,82 @@ impl TopoPattern {
     pub fn node_count(&self) -> usize {
         self.entries.len() + self.edges.iter().map(|(_, c)| c.len()).sum::<usize>()
     }
+
+    /// The `(parent, child)` links of the pattern, in edge order.
+    fn links(&self) -> impl Iterator<Item = (PatternId, PatternId)> + '_ {
+        self.edges
+            .iter()
+            .flat_map(|(parent, children)| children.iter().map(|child| (*parent, *child)))
+    }
+}
+
+/// Appends the flattened form of a topology to `words`: the entry count,
+/// the entries, then every `(parent, child)` link.  Two patterns with sorted
+/// entries and sorted, grouped edges — what both encoders produce — flatten
+/// to the same words exactly when they are equal.
+fn flatten_topology(
+    words: &mut Vec<u32>,
+    entries: &[PatternId],
+    links: impl Iterator<Item = (PatternId, PatternId)>,
+) {
+    // Library-local ids are dense from 1 and fit one word; any other id is
+    // escaped so that distinct ids never flatten alike.
+    fn push_id(words: &mut Vec<u32>, id: PatternId) {
+        match u32::try_from(id.as_u128()) {
+            Ok(word) if word != u32::MAX => words.push(word),
+            _ => {
+                words.push(u32::MAX);
+                let id = id.as_u128();
+                words.extend((0..4).map(|word| (id >> (32 * word)) as u32));
+            }
+        }
+    }
+    words.push(u32::try_from(entries.len()).unwrap_or(u32::MAX));
+    for &entry in entries {
+        push_id(words, entry);
+    }
+    for (parent, child) in links {
+        push_id(words, parent);
+        push_id(words, child);
+    }
+}
+
+/// The topology of one sub-trace as [`TraceParser::encode_parsed`] leaves it
+/// in the parser's scratch: sorted entries, sorted links and their flattened
+/// form, which is what [`TopoPatternLibrary::observe_key`] probes with.  The
+/// owned [`TopoPattern`] is built from it only for a topology the library has
+/// not seen.
+pub struct TopoKey<'a> {
+    entries: &'a [PatternId],
+    links: &'a [(PatternId, PatternId)],
+    words: &'a [u32],
+}
+
+impl TopoKey<'_> {
+    /// The owned pattern this key stands for.
+    pub fn to_pattern(&self) -> TopoPattern {
+        let same_parent = |a: &(PatternId, PatternId), b: &(PatternId, PatternId)| a.0 == b.0;
+        TopoPattern {
+            entries: self.entries.into(),
+            edges: self
+                .links
+                .chunk_by(same_parent)
+                .map(|group| (group[0].0, group.iter().map(|link| link.1).collect()))
+                .collect(),
+        }
+    }
+}
+
+impl PartialEq<TopoPattern> for TopoKey<'_> {
+    fn eq(&self, other: &TopoPattern) -> bool {
+        self.entries == other.entries && self.links.iter().copied().eq(other.links())
+    }
+}
+
+impl fmt::Debug for TopoKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_pattern().fmt(f)
+    }
 }
 
 /// What the topology encoder reads of one parsed span.
@@ -49,8 +127,8 @@ pub struct ParsedSpan {
 
 /// The inter-trace level parser: encodes sub-traces into topology patterns.
 ///
-/// It owns the working memory of [`TraceParser::encode_parsed`], so encoding
-/// allocates only the [`TopoPattern`] it returns.
+/// It owns the working memory of [`TraceParser::encode_parsed`] and what it
+/// returns borrows from it, so encoding allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TraceParser {
     /// `(span id, position)` of the sub-trace's spans, sorted, for the
@@ -60,6 +138,8 @@ pub struct TraceParser {
     entries: Vec<PatternId>,
     /// `(parent pattern, child pattern)` of every local parent→child link.
     links: Vec<(PatternId, PatternId)>,
+    /// The flattened form of `entries` and `links`.
+    words: Vec<u32>,
 }
 
 impl TraceParser {
@@ -91,12 +171,12 @@ impl TraceParser {
                 })
             })
             .collect();
-        TraceParser::new().encode_parsed(&parsed)
+        TraceParser::new().encode_parsed(&parsed).to_pattern()
     }
 
     /// Encodes the topology of the spans one node observed for one trace,
     /// given positionally with the pattern each was parsed into.
-    pub fn encode_parsed(&mut self, spans: &[ParsedSpan]) -> TopoPattern {
+    pub fn encode_parsed(&mut self, spans: &[ParsedSpan]) -> TopoKey<'_> {
         self.positions.clear();
         self.positions.extend(
             spans
@@ -123,14 +203,12 @@ impl TraceParser {
         }
         self.entries.sort_unstable();
         self.links.sort_unstable();
-        let same_parent = |a: &(PatternId, PatternId), b: &(PatternId, PatternId)| a.0 == b.0;
-        let mut edges = Vec::with_capacity(self.links.chunk_by(same_parent).count());
-        for group in self.links.chunk_by(same_parent) {
-            edges.push((group[0].0, group.iter().map(|link| link.1).collect()));
-        }
-        TopoPattern {
-            entries: self.entries.as_slice().into(),
-            edges,
+        self.words.clear();
+        flatten_topology(&mut self.words, &self.entries, self.links.iter().copied());
+        TopoKey {
+            entries: &self.entries,
+            links: &self.links,
+            words: &self.words,
         }
     }
 }
@@ -162,8 +240,13 @@ struct TopoEntry {
 /// Mounting", §4.1 "Pattern Library").
 #[derive(Debug, Clone)]
 pub struct TopoPatternLibrary {
-    by_pattern: HashMap<TopoPattern, usize>,
+    /// Flattened topology (see [`TopoKey`]) → index into `entries`.  The
+    /// words are pattern ids this node assigned, not input, hence the
+    /// deterministic hasher.
+    by_pattern: HashMap<Box<[u32]>, usize, BuildFxHasher>,
     entries: Vec<TopoEntry>,
+    /// The sum of every entry's `matches`.
+    total_matches: u64,
     bloom_buffer_bytes: usize,
     bloom_fpp: f64,
     flushed_blooms: u64,
@@ -173,8 +256,9 @@ impl TopoPatternLibrary {
     /// Creates an empty library configured from `config`.
     pub fn new(config: &MintConfig) -> Self {
         TopoPatternLibrary {
-            by_pattern: HashMap::new(),
+            by_pattern: HashMap::default(),
             entries: Vec::new(),
+            total_matches: 0,
             bloom_buffer_bytes: config.bloom_buffer_bytes,
             bloom_fpp: config.bloom_fpp,
             flushed_blooms: 0,
@@ -197,24 +281,35 @@ impl TopoPatternLibrary {
     }
 
     /// Mounts `trace_id` onto the pattern, creating the pattern if needed.
+    /// The owned form of [`Self::observe_key`].
     pub fn observe(&mut self, pattern: TopoPattern, trace_id: TraceId) -> ObserveOutcome {
-        let (index, is_new) = match self.by_pattern.get(&pattern) {
+        let mut words = Vec::new();
+        flatten_topology(&mut words, &pattern.entries, pattern.links());
+        self.mount(&words, || pattern, trace_id)
+    }
+
+    /// Mounts `trace_id` onto the topology `key` stands for, which becomes an
+    /// owned pattern only if the library has not seen it.
+    pub fn observe_key(&mut self, key: &TopoKey<'_>, trace_id: TraceId) -> ObserveOutcome {
+        self.mount(key.words, || key.to_pattern(), trace_id)
+    }
+
+    fn mount(
+        &mut self,
+        words: &[u32],
+        pattern: impl FnOnce() -> TopoPattern,
+        trace_id: TraceId,
+    ) -> ObserveOutcome {
+        let (index, is_new) = match self.by_pattern.get(words) {
             Some(&index) => (index, false),
-            None => {
-                let index = self.entries.len();
-                self.by_pattern.insert(pattern.clone(), index);
-                self.entries.push(TopoEntry {
-                    pattern,
-                    bloom: BloomFilter::with_byte_budget(self.bloom_buffer_bytes, self.bloom_fpp),
-                    matches: 0,
-                });
-                (index, true)
-            }
+            None => (self.add_pattern(words, pattern()), true),
         };
         let entry = &mut self.entries[index];
         entry.matches += 1;
+        self.total_matches += 1;
         entry.bloom.insert(&trace_id.as_u128());
         let flushed_bloom = if entry.bloom.is_full() {
+            // mint-lint: allow(L004) — a full filter leaves for upload once per `capacity` mounts; the copy is the upload
             let full = entry.bloom.clone();
             entry.bloom.reset();
             self.flushed_blooms += 1;
@@ -228,6 +323,18 @@ impl TopoPatternLibrary {
             flushed_bloom,
             match_count: entry.matches,
         }
+    }
+
+    /// Cold half of [`Self::mount`]: the probe missed.
+    fn add_pattern(&mut self, words: &[u32], pattern: TopoPattern) -> usize {
+        let index = self.entries.len();
+        self.by_pattern.insert(words.into(), index);
+        self.entries.push(TopoEntry {
+            pattern,
+            bloom: BloomFilter::with_byte_budget(self.bloom_buffer_bytes, self.bloom_fpp),
+            matches: 0,
+        });
+        index
     }
 
     /// The pattern stored under `id`.
@@ -247,7 +354,7 @@ impl TopoPatternLibrary {
 
     /// Total matches across all patterns.
     pub fn total_matches(&self) -> u64 {
-        self.entries.iter().map(|e| e.matches).sum()
+        self.total_matches
     }
 
     /// Iterates over `(id, pattern, match_count)`.
@@ -368,6 +475,69 @@ mod tests {
         assert_eq!(library.total_matches(), 10);
         assert_eq!(library.match_count(PatternId::from_u128(1)), 10);
         assert_eq!(library.match_count(PatternId::from_u128(9)), 0);
+    }
+
+    #[test]
+    fn total_matches_is_the_sum_over_patterns() {
+        let parser = TraceParser::new();
+        let mut library = default_library();
+        let summed = |library: &TopoPatternLibrary| library.iter().map(|(_, _, n)| n).sum::<u64>();
+        assert_eq!(library.total_matches(), 0);
+        for trace in 1..=30u128 {
+            let shape: &[(u64, u64)] = match trace % 3 {
+                0 => &[(1, 0), (2, 1), (3, 1)],
+                1 => &[(1, 0), (2, 1), (3, 2)],
+                _ => &[(1, 0)],
+            };
+            let (sub, mapping) = sub_trace(trace, shape);
+            library.observe(parser.encode(&sub, &mapping), TraceId::from_u128(trace));
+            assert_eq!(library.total_matches(), trace as u64);
+            assert_eq!(library.total_matches(), summed(&library));
+        }
+        assert_eq!(library.len(), 3);
+        let mut copy = library.clone();
+        assert_eq!(copy.total_matches(), summed(&copy));
+        let (sub, mapping) = sub_trace(31, &[(1, 0)]);
+        copy.observe(parser.encode(&sub, &mapping), TraceId::from_u128(31));
+        assert_eq!((copy.total_matches(), library.total_matches()), (31, 30));
+        assert_eq!(copy.total_matches(), summed(&copy));
+    }
+
+    #[test]
+    fn keys_and_owned_patterns_mount_alike() {
+        // The flattened probe and the owned adapter share one library: the
+        // same topology gets the same id whichever way it arrives, ids that
+        // do not fit a word included.
+        let parsed = |ids: &[(u64, u64, u128)]| -> Vec<ParsedSpan> {
+            ids.iter()
+                .map(|&(id, parent, pattern)| ParsedSpan {
+                    span_id: SpanId::from_u64(id),
+                    parent_id: SpanId::from_u64(parent),
+                    pattern: PatternId::from_u128(pattern),
+                })
+                .collect()
+        };
+        let shapes = [
+            parsed(&[(1, 0, 2), (2, 1, 3), (3, 1, 3)]),
+            parsed(&[(1, 0, 2), (2, 1, 3), (3, 2, 3)]),
+            parsed(&[(1, 0, u128::from(u32::MAX)), (2, 1, 1 << 40)]),
+            parsed(&[(1, 0, u128::from(u32::MAX)), (2, 1, 1 << 41)]),
+            parsed(&[]),
+        ];
+        let mut parser = TraceParser::new();
+        let mut library = default_library();
+        for (index, shape) in shapes.iter().enumerate() {
+            let key = parser.encode_parsed(shape);
+            let by_key = library.observe_key(&key, TraceId::from_u128(1));
+            assert!(by_key.is_new_pattern, "shape {index}");
+            let pattern = key.to_pattern();
+            assert_eq!(key, pattern);
+            assert_eq!(library.get(by_key.topo_id), Some(&pattern));
+            let by_pattern = library.observe(pattern, TraceId::from_u128(2));
+            assert_eq!(by_pattern.topo_id, by_key.topo_id);
+            assert_eq!(by_pattern.match_count, 2);
+        }
+        assert_eq!(library.len(), shapes.len());
     }
 
     #[test]
