@@ -207,6 +207,13 @@ impl MintAgent {
         &self.span_parser
     }
 
+    /// Mutable access to the span parser, for tests that rewrite a template
+    /// in place.
+    #[cfg(test)]
+    pub(crate) fn span_parser_mut(&mut self) -> &mut SpanParser {
+        &mut self.span_parser
+    }
+
     /// The Params Buffer.
     pub fn params_buffer(&self) -> &ParamsBuffer {
         &self.params_buffer

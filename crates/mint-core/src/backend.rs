@@ -108,6 +108,10 @@ impl QueryResult {
 /// every snapshot generation that holds them.
 type StoredBlock = (Arc<str>, ParamBlock);
 
+/// A Bloom segment's key: the node and the topology pattern.  The node name
+/// is shared, so re-keying a segment or cloning the map copies no string.
+type SegmentKey = (Arc<str>, PatternId);
+
 /// The Mint backend and querier.
 ///
 /// Every heavy segment (catalogs, topology patterns, Bloom filters,
@@ -121,12 +125,13 @@ type StoredBlock = (Arc<str>, ParamBlock);
 pub struct MintBackend {
     catalogs: HashMap<String, Arc<PatternCatalog>>,
     topo_patterns: HashMap<String, Arc<Vec<TopoPattern>>>,
-    blooms: HashMap<(String, PatternId), Vec<Arc<BloomFilter>>>,
+    blooms: HashMap<SegmentKey, Vec<Arc<BloomFilter>>>,
     /// Still-filling Bloom filters published by an incremental merge, one
-    /// slot per ingest shard.  Each epoch replaces a shard's slot with the
-    /// filter's latest state (bits are only ever added between flushes), so
-    /// re-publication stays O(active patterns) instead of O(epochs).
-    partial_blooms: HashMap<(String, PatternId), BTreeMap<usize, Arc<BloomFilter>>>,
+    /// slot per ingest shard.  An epoch replaces a shard's slot with the
+    /// filter's latest state when the filter gained mounts (bits are only
+    /// ever added between flushes), so re-publication stays O(active
+    /// patterns) instead of O(epochs).
+    partial_blooms: HashMap<SegmentKey, BTreeMap<usize, Arc<BloomFilter>>>,
     /// The uploaded parameter blocks of each sampled trace, encoded as they
     /// were shipped, with the node each came from.
     params: HashMap<TraceId, Vec<StoredBlock>>,
@@ -168,6 +173,37 @@ impl MintBackend {
         self.topo_patterns.insert(node.into(), patterns.into());
     }
 
+    /// [`Self::store_catalog`] for a node name the caller only borrows: an
+    /// owned key is made the first time `node` is stored, so an incremental
+    /// merge republishing every epoch copies no string.
+    pub(crate) fn replace_catalog(&mut self, node: &str, catalog: Arc<PatternCatalog>) {
+        match self.catalogs.get_mut(node) {
+            Some(slot) => *slot = catalog,
+            None => self.store_catalog(node, catalog),
+        }
+    }
+
+    /// [`Self::store_topo_patterns`] for a borrowed node name, like
+    /// [`Self::replace_catalog`].
+    pub(crate) fn replace_topo_patterns(&mut self, node: &str, patterns: Arc<Vec<TopoPattern>>) {
+        match self.topo_patterns.get_mut(node) {
+            Some(slot) => *slot = patterns,
+            None => self.store_topo_patterns(node, patterns),
+        }
+    }
+
+    /// The catalog stored for `node`.
+    #[cfg(test)]
+    pub(crate) fn catalog(&self, node: &str) -> Option<&Arc<PatternCatalog>> {
+        self.catalogs.get(node)
+    }
+
+    /// The topology patterns stored for `node`.
+    #[cfg(test)]
+    pub(crate) fn topo_patterns(&self, node: &str) -> Option<&Arc<Vec<TopoPattern>>> {
+        self.topo_patterns.get(node)
+    }
+
     /// Stores a flushed Bloom filter for `(node, topology pattern)` so the
     /// querier can probe it.  Storage bytes for metadata mounting are charged
     /// separately (per mounted trace id) through
@@ -176,7 +212,7 @@ impl MintBackend {
     /// filter instead of copying its bit array.
     pub fn store_bloom(
         &mut self,
-        node: impl Into<String>,
+        node: impl Into<Arc<str>>,
         topo_id: PatternId,
         bloom: impl Into<Arc<BloomFilter>>,
     ) {
@@ -221,7 +257,7 @@ impl MintBackend {
     /// republishing a filter every epoch keeps exactly one copy per shard.
     pub(crate) fn store_partial_bloom(
         &mut self,
-        node: String,
+        node: Arc<str>,
         topo_id: PatternId,
         slot: usize,
         bloom: impl Into<Arc<BloomFilter>>,
@@ -256,7 +292,7 @@ impl MintBackend {
 
     /// The stored Bloom filters, keyed by `(node, topology pattern id)`.
     /// Used by the sharded merge step to re-key shard-local pattern ids.
-    pub(crate) fn blooms(&self) -> &HashMap<(String, PatternId), Vec<Arc<BloomFilter>>> {
+    pub(crate) fn blooms(&self) -> &HashMap<SegmentKey, Vec<Arc<BloomFilter>>> {
         &self.blooms
     }
 
@@ -362,6 +398,7 @@ impl MintBackend {
                 continue;
             }
             matched_segments += 1;
+            let node: &str = node;
             let Some(patterns) = self.topo_patterns.get(node) else {
                 continue;
             };
@@ -396,7 +433,7 @@ impl MintBackend {
                     (stats.min_us as f64, stats.max_us as f64)
                 };
                 approx_spans.push(ApproximateSpan {
-                    node: node.clone(),
+                    node: node.to_owned(),
                     service: span_pattern.service.clone(),
                     name: span_pattern.name.clone(),
                     kind: span_pattern.kind.label().to_owned(),

@@ -222,6 +222,11 @@ thread_local! {
 /// facts the hot path needs (const/var counts, first const, 128-bit const
 /// fingerprint) so candidate ordering, prefix indexing and prefiltering all
 /// run without touching the string form.
+///
+/// It also carries the revision stamp its parser gave the template (see
+/// [`StringAttributeParser`](crate::StringAttributeParser)): the mirror is
+/// rebuilt exactly when the template's tokens are written, which is when the
+/// stamp moves, and the stamp fits in the struct's padding.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InternedTemplate {
     ids: Vec<u32>,
@@ -230,6 +235,7 @@ pub struct InternedTemplate {
     fingerprint: u128,
     first_const: Option<u32>,
     starts_with_var: bool,
+    stamp: u32,
 }
 
 impl InternedTemplate {
@@ -264,7 +270,18 @@ impl InternedTemplate {
             fingerprint,
             first_const,
             starts_with_var,
+            stamp: 0,
         }
+    }
+
+    /// This mirror, stamped with revision `stamp`.
+    pub(crate) fn with_stamp(self, stamp: u32) -> Self {
+        InternedTemplate { stamp, ..self }
+    }
+
+    /// The revision stamp of the template this mirrors.
+    pub(crate) fn stamp(&self) -> u32 {
+        self.stamp
     }
 
     /// The template as ids ([`WILDCARD_ID`] per variable slot).

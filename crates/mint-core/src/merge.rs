@@ -13,14 +13,36 @@
 //! reconciliation unaffordable for a streaming driver.
 //!
 //! [`IncrementalMerger`] instead carries **persistent per-node intern
-//! tables** (string-template content → canonical index, span-pattern content
-//! → canonical id, topology-pattern content → canonical id) and per-shard
-//! **watermarks** across merges.  Shard-local libraries are append-only
-//! (template *content* aside, see below), so each merge only interns the
-//! entries past the watermark — patterns first seen since the previous merge
-//! — and appends only the Bloom filters and parameter blocks uploaded since
-//! then.  Per-merge cost is `O(library size + new state)`, independent of
-//! how many epochs have been ingested.
+//! tables** (string-template content → canonical indices, span-pattern
+//! content → canonical id, topology-pattern content → canonical id) and
+//! per-shard **watermarks** across merges.  Shard-local libraries are
+//! append-only (template *content* aside, see below), so each merge only
+//! interns the entries past the watermark — patterns first seen since the
+//! previous merge — and appends only the Bloom filters and parameter blocks
+//! uploaded since then.
+//!
+//! # What a merge costs
+//!
+//! A merge reads the shards' libraries in place and allocates
+//! O(nodes + new state + republished filters), independent of how large the
+//! libraries have grown:
+//!
+//! * interning touches only entries past the watermarks, and finds content
+//!   by hash, so interning n templates is O(n), not O(n²);
+//! * a node's canonical pattern tables (span patterns and their index,
+//!   template lists, bucketers, topology patterns) sit behind `Arc`s and are
+//!   written copy-on-write, only when that node interned something new.  A
+//!   node none of whose shards parsed a span since the previous merge is not
+//!   republished; any other gets one fresh `Vec<DurationStats>`, refolded
+//!   from the shards' cumulative statistics (a pass over words, no
+//!   allocation), beside the tables it shares with the previous generation;
+//! * a still-partial Bloom filter is copied only if its pattern was mounted
+//!   since the previous merge (its match count moved) — a filter without new
+//!   mounts is bit-identical to the copy already published.
+//!
+//! Publishing a snapshot still copies the sealed-Bloom and parameter
+//! indexes (the maps, not the `Arc`-shared segments in them), which is
+//! O(history).
 //!
 //! # The incremental-merge invariant
 //!
@@ -34,28 +56,35 @@
 //!   warmed prefix, so the k-th occurrence of a content maps to the k-th
 //!   canonical occurrence (never collapsing multiplicity a serial parser
 //!   would keep).
-//! * **Drift detection** — string templates are the one piece of shard state
-//!   that can mutate in place (online generalization after warm-up).  Each
-//!   merge first compares the interned prefix of every template list against
-//!   its snapshot; on any mismatch the merger resets its derived state and
-//!   re-interns everything from the cumulative shard histories (the old
-//!   batch-merge behaviour).  With a warm-up that covers the workload this
-//!   never fires; [`IncrementalMerger::full_rebuilds`] counts it so the
-//!   benchmarks can prove it.
+//! * **Drift detection by revision stamp** — string templates are the one
+//!   piece of shard state that can mutate in place (online generalization
+//!   after warm-up).  A parser stamps every template with a fresh revision
+//!   whenever its tokens change, and a watermark keeps the stamps of the
+//!   prefix it interned.  The rule: if any interned template's stamp moved,
+//!   the merge resets its derived state and re-interns everything from the
+//!   cumulative shard histories (the old batch-merge behaviour).  A template
+//!   generalized before it was interned, or a generalization that leaves the
+//!   tokens as they were, moves no interned stamp and rebuilds nothing.  With
+//!   a warm-up that covers the workload this never fires;
+//!   [`IncrementalMerger::full_rebuilds`] counts it so the benchmarks can
+//!   prove it.
 //!
 //! Partition invariance — interning a library split across arbitrary shard
 //! partitions yields the same canonical catalog as interning it whole — is
 //! asserted by the property tests at the bottom of this module.
 
+use crate::agent::MintAgent;
 use crate::backend::MintBackend;
 use crate::collector::{MintCollector, MintDeployment};
 use crate::config::MintConfig;
 use crate::snapshot::{QueryHandle, SnapshotPublisher};
 use crate::span_parser::{
-    AttrPattern, DurationStats, NumericBucketer, PatternCatalog, SpanPatternLibrary, StringTemplate,
+    AttrPattern, AttributeParser, DurationStats, NumericBucketer, PatternCatalog, SpanParser,
+    SpanPatternLibrary, StringAttributeParser, StringTemplate,
 };
-use crate::trace_parser::TopoPattern;
+use crate::trace_parser::{TopoPattern, TopoPatternLibrary};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use trace_model::PatternId;
 
 /// What one [`IncrementalMerger::reconcile`] pass actually did — the
@@ -73,38 +102,215 @@ pub struct MergeStats {
     pub new_sealed_blooms: usize,
     /// Parameter blocks consumed from shard backends.
     pub new_params_blocks: usize,
+    /// Still-partial Bloom filters copied into the merged backend because
+    /// their patterns were mounted since the previous merge.
+    pub republished_blooms: usize,
     /// Whether template drift forced a from-scratch rebuild.
     pub full_rebuild: bool,
 }
 
 /// Canonical per-node state carried across merges: the persistent intern
-/// tables of the incremental merge.
+/// tables of the incremental merge, and the shared tables published from
+/// them.
 #[derive(Debug, Default)]
 struct CanonicalNode {
+    /// The node's name, shared by every backend key that names it.
+    name: Arc<str>,
+    /// Canonical span patterns (content → id via the library's own index).
+    /// The duration statistics beside them are never read: publication
+    /// refolds fresh ones from the shards.
+    spans: SpanPatternLibrary,
     /// Canonical templates per attribute key (content-addressed,
     /// occurrence-aware).
-    templates: BTreeMap<String, Vec<StringTemplate>>,
-    /// Canonical span patterns (content → id via the library's own index).
-    /// Duration statistics are refolded from shard statistics at snapshot
-    /// time, not maintained here.
-    span_lib: SpanPatternLibrary,
-    bucketers: HashMap<String, NumericBucketer>,
+    templates: Arc<HashMap<String, Vec<StringTemplate>>>,
+    /// Per attribute key: template content → the canonical indices holding
+    /// it, ascending.
+    template_index: HashMap<String, HashMap<StringTemplate, Vec<usize>>>,
+    bucketers: Arc<HashMap<String, NumericBucketer>>,
     duration_bucketer: NumericBucketer,
-    scalar_sizes: BTreeMap<String, usize>,
+    scalar_sizes: HashMap<String, usize>,
     /// Canonical topology patterns and their content index.
-    topo: Vec<TopoPattern>,
+    topo: Arc<Vec<TopoPattern>>,
     topo_index: HashMap<TopoPattern, PatternId>,
+    /// Whether what is published of the node changed since it last was:
+    /// something was interned, or a shard parsed one of its spans.
+    stale: bool,
 }
 
 impl CanonicalNode {
-    fn intern_topo(&mut self, pattern: TopoPattern) -> PatternId {
-        if let Some(&id) = self.topo_index.get(&pattern) {
-            return id;
+    fn new(name: &str) -> Self {
+        CanonicalNode {
+            name: Arc::from(name),
+            stale: true,
+            ..CanonicalNode::default()
         }
-        let id = PatternId::from_u128(self.topo.len() as u128 + 1);
-        self.topo_index.insert(pattern.clone(), id);
-        self.topo.push(pattern);
-        id
+    }
+
+    /// Interns what `agent` — this node's agent on one shard — learned past
+    /// `marks`, reading its libraries in place.  Nothing is allocated unless
+    /// something is new.
+    fn absorb(&mut self, agent: &MintAgent, marks: &mut ShardNodeMarks, stats: &mut MergeStats) {
+        let parser = agent.span_parser();
+        if marks.parsed_spans != parser.parsed_spans() {
+            marks.parsed_spans = parser.parsed_spans();
+            self.stale = true;
+        }
+        self.duration_bucketer = parser.duration_bucketer();
+        for (index, (key, attribute)) in parser.attribute_parsers().enumerate() {
+            match attribute {
+                AttributeParser::Strings(strings) => {
+                    let marks = marks.template_marks(index);
+                    let interned = marks.as_ref().map(|marks| marks.remap.len());
+                    if interned != Some(strings.templates().len()) {
+                        let marks = marks.get_or_insert_with(TemplateMarks::default);
+                        self.intern_templates(key, strings, marks, stats);
+                    }
+                }
+                // Closed-form parsers are static once created: the first
+                // shard to show a key decides, for bucketer and size alike.
+                AttributeParser::Numeric(bucketer) if !self.bucketers.contains_key(key) => {
+                    // mint-lint: allow(L004) — first sight of a numeric key on this node, once per (node, key)
+                    Arc::make_mut(&mut self.bucketers).insert(key.to_owned(), *bucketer);
+                    self.stale = true;
+                }
+                AttributeParser::Numeric(_) | AttributeParser::Booleans => {}
+            }
+            if !matches!(attribute, AttributeParser::Strings(_))
+                && !self.scalar_sizes.contains_key(key)
+            {
+                // mint-lint: allow(L004) — first sight of a closed-form key on this node, once per (node, key)
+                let key = key.to_owned();
+                self.scalar_sizes.insert(key, attribute.stored_size());
+            }
+        }
+        if marks.span_remap.len() < parser.library().len() {
+            self.intern_span_patterns(parser, marks, stats);
+        }
+        if marks.topo_remap.len() < agent.topo_library().len() {
+            self.intern_topologies(agent.topo_library(), marks, stats);
+        }
+    }
+
+    /// Interns the templates of string key `key` past `marks`, occurrence-
+    /// aware (see [`intern_template`]), and records their stamps.
+    fn intern_templates(
+        &mut self,
+        key: &str,
+        strings: &StringAttributeParser,
+        marks: &mut TemplateMarks,
+        stats: &mut MergeStats,
+    ) {
+        if !self.templates.contains_key(key) {
+            // The catalog lists a string key even while it has no template.
+            Arc::make_mut(&mut self.templates).insert(key.to_owned(), Vec::new());
+            self.template_index.insert(key.to_owned(), HashMap::new());
+            self.stale = true;
+        }
+        let Some(index) = self.template_index.get_mut(key) else {
+            return;
+        };
+        let start = marks.remap.len();
+        let new = strings.templates()[start..].iter();
+        for (template, stamp) in new.zip(strings.stamps().skip(start)) {
+            let canonical_len = self.templates.get(key).map_or(0, Vec::len);
+            let (canonical, appended) =
+                intern_template(index, &mut marks.occurrences, template, canonical_len);
+            if appended {
+                if let Some(list) = Arc::make_mut(&mut self.templates).get_mut(key) {
+                    list.push(template.clone());
+                }
+                stats.new_templates += 1;
+                self.stale = true;
+            }
+            marks.remap.push(canonical);
+            marks.stamps.push(stamp);
+        }
+    }
+
+    /// Interns the span patterns of `parser` past `marks`, with template
+    /// references rewritten to canonical indices.  Duration statistics are
+    /// refolded at publication, so they are absorbed empty here.
+    fn intern_span_patterns(
+        &mut self,
+        parser: &SpanParser,
+        marks: &mut ShardNodeMarks,
+        stats: &mut MergeStats,
+    ) {
+        for (_, pattern) in parser.library().iter().skip(marks.span_remap.len()) {
+            let mut pattern = pattern.clone();
+            for (key, attr) in pattern.attrs.iter_mut() {
+                if let AttrPattern::Template { template_id } = attr {
+                    let index = parser.key_index(key);
+                    let templates = index.and_then(|index| marks.templates.get(index));
+                    if let Some(Some(templates)) = templates {
+                        *template_id = templates.remap[*template_id];
+                    }
+                }
+            }
+            let before = self.spans.len();
+            let canonical_id = self.spans.absorb(pattern, DurationStats::default());
+            if self.spans.len() > before {
+                stats.new_span_patterns += 1;
+                self.stale = true;
+            }
+            marks.span_remap.push(canonical_id);
+        }
+    }
+
+    /// Interns the topology patterns of `library` past `marks`, with span
+    /// references rewritten to canonical ids.
+    fn intern_topologies(
+        &mut self,
+        library: &TopoPatternLibrary,
+        marks: &mut ShardNodeMarks,
+        stats: &mut MergeStats,
+    ) {
+        for (_, pattern, _) in library.iter().skip(marks.topo_remap.len()) {
+            let pattern = remap_topo(pattern, &marks.span_remap);
+            let canonical_id = match self.topo_index.get(&pattern) {
+                Some(&id) => id,
+                None => {
+                    let id = PatternId::from_u128(self.topo.len() as u128 + 1);
+                    self.topo_index.insert(pattern.clone(), id);
+                    Arc::make_mut(&mut self.topo).push(pattern);
+                    stats.new_topo_patterns += 1;
+                    self.stale = true;
+                    id
+                }
+            };
+            marks.topo_remap.push(canonical_id);
+        }
+    }
+
+    /// The node's catalog as of now: the shared tables, and duration
+    /// statistics refolded from every shard's cumulative statistics — every
+    /// span is observed by exactly one shard, so the fold equals the serial
+    /// statistic.  `index` is the node's own index into `marks`' per-node
+    /// watermarks.
+    fn catalog(
+        &self,
+        index: usize,
+        shards: &[MintDeployment],
+        marks: &[ShardMarks],
+    ) -> PatternCatalog {
+        let mut durations = vec![DurationStats::default(); self.spans.len()];
+        for (shard, marks) in shards.iter().zip(marks) {
+            let agent = shard.agents.get(&*self.name);
+            let remap = marks.get(index);
+            let (Some(agent), Some(remap)) = (agent, remap) else {
+                continue;
+            };
+            let local = agent.span_parser().library().durations();
+            for (stats, canonical) in local.iter().zip(&remap.span_remap) {
+                durations[(canonical.as_u128() - 1) as usize].merge(stats);
+            }
+        }
+        PatternCatalog {
+            spans: self.spans.with_durations(durations),
+            templates: Arc::clone(&self.templates),
+            bucketers: Arc::clone(&self.bucketers),
+            duration_bucketer: self.duration_bucketer,
+        }
     }
 
     /// Bytes of one full pattern-library upload for this node, mirroring
@@ -112,7 +318,7 @@ impl CanonicalNode {
     /// span patterns + attribute parsers (templates for strings, closed-form
     /// sizes for numeric/boolean) + topology patterns.
     fn library_upload_bytes(&self) -> usize {
-        self.span_lib.stored_size()
+        self.spans.stored_size()
             + self
                 .templates
                 .values()
@@ -127,33 +333,126 @@ impl CanonicalNode {
     }
 }
 
-/// Per-attribute-key watermark into one shard's template list: how much of
-/// the list has been interned (`remap`) and what it looked like when it was
-/// (`snapshot`, for drift detection).
+/// The canonical nodes in first-sight order, and their index by name.  Each
+/// node's state is independent of the others', so the order is immaterial.
+#[derive(Debug, Default)]
+struct CanonicalNodes {
+    list: Vec<CanonicalNode>,
+    by_name: HashMap<Arc<str>, usize>,
+}
+
+impl CanonicalNodes {
+    /// The index of `node`, if a shard has shown it.
+    fn find(&self, node: &str) -> Option<usize> {
+        self.by_name.get(node).copied()
+    }
+
+    /// The index of `node`, adding it on first sight.
+    fn find_or_add(&mut self, node: &str) -> usize {
+        match self.find(node) {
+            Some(index) => index,
+            None => self.add(node),
+        }
+    }
+
+    /// Cold half of [`Self::find_or_add`].
+    fn add(&mut self, node: &str) -> usize {
+        let canonical = CanonicalNode::new(node);
+        self.by_name
+            .insert(Arc::clone(&canonical.name), self.list.len());
+        self.list.push(canonical);
+        self.list.len() - 1
+    }
+}
+
+/// Watermark into one shard's template list for one attribute key: how
+/// much of the list has been interned (`remap`), the revision stamps it had
+/// then (`stamps`, for drift detection), and how many copies of each
+/// content the interned prefix holds.
 #[derive(Debug, Default)]
 struct TemplateMarks {
-    snapshot: Vec<StringTemplate>,
+    stamps: Vec<u32>,
     remap: Vec<usize>,
+    /// Content (named by its first canonical index) → copies of it in the
+    /// interned prefix.
+    occurrences: HashMap<usize, usize>,
 }
 
 /// Watermarks into one shard's per-node state.
 #[derive(Debug, Default)]
 struct ShardNodeMarks {
-    templates: HashMap<String, TemplateMarks>,
+    /// Per shard-local attribute key, in [`SpanParser::attribute_parsers`]
+    /// order: the template watermark of a key that holds strings.
+    templates: Vec<Option<TemplateMarks>>,
     /// Shard-local span pattern id (1-based, dense) → canonical id.
     span_remap: Vec<PatternId>,
     /// Shard-local topology pattern id (1-based, dense) → canonical id.
     topo_remap: Vec<PatternId>,
+    /// Per shard-local topology pattern: its match count when its partial
+    /// filter was last looked at.
+    mounts: Vec<u64>,
     /// Sealed Bloom filters already consumed per shard-local topology id.
     sealed_seen: HashMap<PatternId, usize>,
+    /// Spans the shard's parser had parsed at the previous merge.
+    parsed_spans: u64,
+}
+
+impl ShardNodeMarks {
+    /// The template watermark slot of the attribute key at `index`.
+    fn template_marks(&mut self, index: usize) -> &mut Option<TemplateMarks> {
+        if self.templates.len() <= index {
+            self.templates.resize_with(index + 1, || None);
+        }
+        &mut self.templates[index]
+    }
+
+    /// Whether a template this shard interned was rewritten since: its
+    /// stamp moved, or its key holds no templates any more.
+    fn drifted(&self, parser: &SpanParser) -> bool {
+        let mut attributes = parser.attribute_parsers();
+        self.templates.iter().any(|marks| {
+            let attribute = attributes.next();
+            let Some(marks) = marks else {
+                return false;
+            };
+            match attribute {
+                Some((_, AttributeParser::Strings(strings))) => {
+                    let interned = strings.stamps().take(marks.stamps.len());
+                    !interned.eq(marks.stamps.iter().copied())
+                }
+                _ => true,
+            }
+        })
+    }
 }
 
 /// Watermarks into one shard's state.
 #[derive(Debug, Default)]
 struct ShardMarks {
-    nodes: HashMap<String, ShardNodeMarks>,
+    /// Per canonical node (by index): `None` until the shard shows it.
+    nodes: Vec<Option<ShardNodeMarks>>,
     /// Entries of the shard backend's params order log already consumed.
     params_seen: usize,
+}
+
+impl ShardMarks {
+    /// The watermarks of canonical node `index`, created on first sight.
+    fn node(&mut self, index: usize) -> &mut ShardNodeMarks {
+        if self.nodes.len() <= index {
+            self.nodes.resize_with(index + 1, || None);
+        }
+        self.nodes[index].get_or_insert_with(ShardNodeMarks::default)
+    }
+
+    /// The watermarks of canonical node `index`, if the shard has shown it.
+    fn get(&self, index: usize) -> Option<&ShardNodeMarks> {
+        self.nodes.get(index)?.as_ref()
+    }
+
+    /// [`Self::get`], mutably.
+    fn get_mut(&mut self, index: usize) -> Option<&mut ShardNodeMarks> {
+        self.nodes.get_mut(index)?.as_mut()
+    }
 }
 
 /// The incremental merger: owns the merged backend/collector and the
@@ -163,7 +462,7 @@ struct ShardMarks {
 pub(crate) struct IncrementalMerger {
     backend: MintBackend,
     collector: MintCollector,
-    nodes: BTreeMap<String, CanonicalNode>,
+    nodes: CanonicalNodes,
     marks: Vec<ShardMarks>,
     /// Cumulative periodic pattern-upload traffic, mirroring the serial
     /// collector's per-batch `library_bytes × intervals` charge.  Survives a
@@ -219,8 +518,8 @@ impl IncrementalMerger {
 
     /// Reconciles the cumulative shard states into the merged
     /// backend/collector, interning only state past the per-shard
-    /// watermarks.  Safe to call at every epoch boundary; cost is
-    /// `O(library size + state new since the previous call)`.
+    /// watermarks.  Safe to call at every epoch boundary; allocates
+    /// `O(nodes + new state + republished filters)`.
     pub(crate) fn reconcile(&mut self, shards: &[MintDeployment]) -> MergeStats {
         let mut stats = MergeStats::default();
 
@@ -230,7 +529,7 @@ impl IncrementalMerger {
         // watermarks).
         if (!self.marks.is_empty() && self.marks.len() != shards.len()) || self.drifted(shards) {
             self.backend = MintBackend::new();
-            self.nodes.clear();
+            self.nodes = CanonicalNodes::default();
             self.marks.clear();
             self.full_rebuilds += 1;
             stats.full_rebuild = true;
@@ -239,115 +538,31 @@ impl IncrementalMerger {
             self.marks.resize_with(shards.len(), ShardMarks::default);
         }
 
-        // 1. Intern pattern state past the watermarks, shard by shard in
-        //    deterministic node order.
-        for (shard_index, shard) in shards.iter().enumerate() {
-            let mut node_names: Vec<&String> = shard.agents.keys().collect();
-            node_names.sort();
-            for node in node_names {
-                let agent = &shard.agents[node];
-                let catalog = agent.catalog();
-                let canon = self.nodes.entry(node.clone()).or_default();
-                let marks = self.marks[shard_index]
-                    .nodes
-                    .entry(node.clone())
-                    .or_default();
-
-                // String templates, per attribute key.  Interning is
-                // occurrence-aware: identical-content templates (warm-up
-                // clustering can emit duplicates, and every shard shares the
-                // warmed prefix) map k-th occurrence to k-th canonical
-                // occurrence, preserving serial multiplicity.
-                let mut keys: Vec<&String> = catalog.templates.keys().collect();
-                keys.sort();
-                for key in keys {
-                    let templates = &catalog.templates[key];
-                    let canonical = canon.templates.entry(key.clone()).or_default();
-                    let tmarks = marks.templates.entry(key.clone()).or_default();
-                    for index in tmarks.snapshot.len()..templates.len() {
-                        let template = &templates[index];
-                        let occurrence =
-                            templates[..index].iter().filter(|t| *t == template).count();
-                        let before = canonical.len();
-                        let canonical_index = intern_template(canonical, template, occurrence);
-                        if canonical.len() > before {
-                            stats.new_templates += 1;
-                        }
-                        tmarks.remap.push(canonical_index);
-                        tmarks.snapshot.push(template.clone());
-                    }
-                }
-
-                // Span patterns, with template references rewritten to
-                // canonical indices.  Duration statistics are refolded in
-                // the snapshot pass below, so they are absorbed empty here.
-                for local_index in marks.span_remap.len()..catalog.spans.len() {
-                    let local_id = PatternId::from_u128(local_index as u128 + 1);
-                    let mut pattern = catalog
-                        .spans
-                        .get(local_id)
-                        // mint-lint: allow(L003) — pattern ids are interned densely from 1; the loop bound is the library length
-                        .expect("dense span pattern ids")
-                        .clone();
-                    for (key, attr) in pattern.attrs.iter_mut() {
-                        if let AttrPattern::Template { template_id } = attr {
-                            if let Some(tmarks) = marks.templates.get(key) {
-                                *template_id = tmarks.remap[*template_id];
-                            }
-                        }
-                    }
-                    let before = canon.span_lib.len();
-                    let canonical_id = canon.span_lib.absorb(pattern, DurationStats::default());
-                    if canon.span_lib.len() > before {
-                        stats.new_span_patterns += 1;
-                    }
-                    marks.span_remap.push(canonical_id);
-                }
-
-                // Closed-form parsers are static once created.
-                for (key, bucketer) in &catalog.bucketers {
-                    canon.bucketers.entry(key.clone()).or_insert(*bucketer);
-                }
-                canon.duration_bucketer = catalog.duration_bucketer;
-                for (key, size) in agent.span_parser().scalar_parser_sizes() {
-                    canon.scalar_sizes.entry(key).or_insert(size);
-                }
-
-                // Topology patterns, with span references rewritten.
-                for local_index in marks.topo_remap.len()..agent.topo_library().len() {
-                    let local_id = PatternId::from_u128(local_index as u128 + 1);
-                    let pattern = agent
-                        .topo_library()
-                        .get(local_id)
-                        // mint-lint: allow(L003) — pattern ids are interned densely from 1; the loop bound is the library length
-                        .expect("dense topo pattern ids");
-                    let before = canon.topo.len();
-                    let canonical_id = canon.intern_topo(remap_topo(pattern, &marks.span_remap));
-                    if canon.topo.len() > before {
-                        stats.new_topo_patterns += 1;
-                    }
-                    marks.topo_remap.push(canonical_id);
-                }
+        // 1. Intern pattern state past the watermarks, shard by shard.
+        for (shard, marks) in shards.iter().zip(&mut self.marks) {
+            for (node, agent) in &shard.agents {
+                let index = self.nodes.find_or_add(node);
+                self.nodes.list[index].absorb(agent, marks.node(index), &mut stats);
             }
         }
 
         // 2. Append the sealed (flushed-during-ingest) Bloom filters the
         //    shards uploaded since the previous reconcile.
-        for (shard_index, shard) in shards.iter().enumerate() {
+        for (shard, marks) in shards.iter().zip(&mut self.marks) {
             for ((node, local_id), blooms) in shard.backend.blooms() {
-                let marks = self.marks[shard_index]
-                    .nodes
-                    .get_mut(node)
-                    // mint-lint: allow(L003) — step 1 interned marks for every node before blooms are walked
-                    .expect("bloom for a node with no interned agent state");
+                let index = self.nodes.find(node);
+                let found = index.and_then(|index| Some((index, marks.get_mut(index)?)));
+                // mint-lint: allow(L003) — step 1 interned marks for every node before blooms are walked
+                let (index, marks) = found.expect("bloom for a node with no interned agent state");
                 let seen = marks.sealed_seen.entry(*local_id).or_insert(0);
                 if *seen == blooms.len() {
                     continue;
                 }
                 let canonical_id = marks.topo_remap[(local_id.as_u128() - 1) as usize];
                 for bloom in &blooms[*seen..] {
+                    let node = Arc::clone(&self.nodes.list[index].name);
                     self.backend
-                        .store_bloom(node.clone(), canonical_id, bloom.clone());
+                        .store_bloom(node, canonical_id, Arc::clone(bloom));
                     stats.new_sealed_blooms += 1;
                 }
                 *seen = blooms.len();
@@ -357,19 +572,31 @@ impl IncrementalMerger {
         // 3. Republish each shard's still-partial Bloom filters into their
         //    per-shard slots (replace, not append), so every mounted trace id
         //    is queryable without disturbing the shard's own filling state.
+        //    Every non-empty filter counts as uploaded; only one mounted
+        //    since the previous reconcile differs from its published copy.
         let mut partial_uploads = 0u64;
-        for (shard_index, shard) in shards.iter().enumerate() {
+        for (slot, (shard, marks)) in shards.iter().zip(&mut self.marks).enumerate() {
             for (node, agent) in &shard.agents {
-                let marks = &self.marks[shard_index].nodes[node];
-                for (local_id, bloom) in agent.topo_library().partial_blooms() {
-                    let canonical_id = marks.topo_remap[(local_id.as_u128() - 1) as usize];
-                    self.backend.store_partial_bloom(
-                        node.clone(),
-                        canonical_id,
-                        shard_index,
-                        bloom,
-                    );
+                let index = self.nodes.find(node);
+                let found = index.and_then(|index| Some((index, marks.get_mut(index)?)));
+                let Some((index, marks)) = found else {
+                    continue;
+                };
+                let library = agent.topo_library();
+                marks.mounts.resize(library.len(), 0);
+                for (local_id, matches, bloom) in library.partial_blooms() {
                     partial_uploads += 1;
+                    let local = (local_id.as_u128() - 1) as usize;
+                    if marks.mounts[local] == matches {
+                        continue;
+                    }
+                    marks.mounts[local] = matches;
+                    // mint-lint: allow(L004) — the filter gained mounts since the previous merge: this copy is its republication
+                    let bloom = Arc::new(bloom.clone());
+                    let node = Arc::clone(&self.nodes.list[index].name);
+                    self.backend
+                        .store_partial_bloom(node, marks.topo_remap[local], slot, bloom);
+                    stats.republished_blooms += 1;
                 }
             }
         }
@@ -377,16 +604,16 @@ impl IncrementalMerger {
         // 4. Append the parameter blocks uploaded since the previous
         //    reconcile, in shard upload order, each copied once with its
         //    span pattern references patched to canonical ids in the copy.
-        for (shard_index, shard) in shards.iter().enumerate() {
+        for (shard, marks) in shards.iter().zip(&mut self.marks) {
             let log = shard.backend.params_log();
-            let seen = self.marks[shard_index].params_seen;
-            for (trace_id, block_index) in &log[seen..] {
+            for (trace_id, block_index) in &log[marks.params_seen..] {
                 let (node, params) = shard
                     .backend
                     .params_block(*trace_id, *block_index)
                     // mint-lint: allow(L003) — the params log only records blocks the backend just stored
                     .expect("params log points at a stored block");
-                let remap = self.marks[shard_index].nodes.get(node);
+                let index = self.nodes.find(node);
+                let remap = index.and_then(|index| marks.get(index));
                 let remap = remap.map_or(&[][..], |marks| &marks.span_remap);
                 let canonical = |local: PatternId| {
                     let index = local.as_u128().checked_sub(1);
@@ -397,47 +624,25 @@ impl IncrementalMerger {
                     .store_params(node, params.with_patterns(canonical));
                 stats.new_params_blocks += 1;
             }
-            self.marks[shard_index].params_seen = log.len();
+            marks.params_seen = log.len();
         }
 
-        // 5. Re-snapshot the canonical catalogs (replacing the previous
-        //    epoch's), refolding duration statistics from the cumulative
-        //    per-shard statistics — every span is observed by exactly one
-        //    shard, so the fold equals the serial statistic.
+        // 5. Republish the catalogs of the nodes that changed (replacing the
+        //    previous epoch's): fresh duration statistics beside shared
+        //    pattern tables.
         self.span_patterns = 0;
         self.topo_patterns = 0;
-        for (node, canon) in &self.nodes {
-            let mut span_lib = canon.span_lib.clone();
-            span_lib.clear_duration_stats();
-            for (shard_index, shard) in shards.iter().enumerate() {
-                let Some(agent) = shard.agents.get(node) else {
-                    continue;
-                };
-                let marks = &self.marks[shard_index].nodes[node];
-                let library = agent.span_parser().library();
-                for (local_id, _) in library.iter() {
-                    let local_stats = library.duration_stats(local_id).unwrap_or_default();
-                    let canonical = marks.span_remap[(local_id.as_u128() - 1) as usize];
-                    span_lib.fold_duration_stats(canonical, &local_stats);
-                }
-            }
-            self.span_patterns += span_lib.len() as u64;
+        for (index, canon) in self.nodes.list.iter_mut().enumerate() {
+            self.span_patterns += canon.spans.len() as u64;
             self.topo_patterns += canon.topo.len() as u64;
+            if !canon.stale {
+                continue;
+            }
+            canon.stale = false;
+            let catalog = canon.catalog(index, shards, &self.marks);
+            self.backend.replace_catalog(&canon.name, Arc::new(catalog));
             self.backend
-                .store_topo_patterns(node.clone(), canon.topo.clone());
-            self.backend.store_catalog(
-                node.clone(),
-                PatternCatalog {
-                    spans: span_lib,
-                    templates: canon
-                        .templates
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect(),
-                    bucketers: canon.bucketers.clone(),
-                    duration_bucketer: canon.duration_bucketer,
-                },
-            );
+                .replace_topo_patterns(&canon.name, Arc::clone(&canon.topo));
         }
 
         // 6. Rebuild the merged collector from partition-invariant sums and
@@ -482,7 +687,8 @@ impl IncrementalMerger {
         let intervals = (batch_duration_s / config.pattern_report_interval_s.max(1)).max(1);
         let batch_bytes: u64 = self
             .nodes
-            .values()
+            .list
+            .iter()
             .map(|canon| (canon.library_upload_bytes() * intervals as usize) as u64)
             .sum();
         self.pattern_network_bytes += batch_bytes;
@@ -492,50 +698,53 @@ impl IncrementalMerger {
     /// Whether any shard's template lists mutated under an existing
     /// watermark (online generalization after warm-up).
     fn drifted(&self, shards: &[MintDeployment]) -> bool {
-        for (shard_index, marks) in self.marks.iter().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                return true;
-            };
-            for (node, node_marks) in &marks.nodes {
-                let Some(agent) = shard.agents.get(node) else {
-                    return true;
-                };
-                let catalog = agent.catalog();
-                for (key, tmarks) in &node_marks.templates {
-                    let Some(templates) = catalog.templates.get(key) else {
-                        return true;
-                    };
-                    if templates.len() < tmarks.snapshot.len()
-                        || templates[..tmarks.snapshot.len()] != tmarks.snapshot[..]
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.marks.iter().zip(shards).any(|(marks, shard)| {
+            marks
+                .nodes
+                .iter()
+                .zip(&self.nodes.list)
+                .any(
+                    |(marks, canon)| match (marks, shard.agents.get(&*canon.name)) {
+                        (None, _) => false,
+                        (Some(marks), Some(agent)) => marks.drifted(agent.span_parser()),
+                        (Some(_), None) => true,
+                    },
+                )
+        })
     }
 }
 
-/// Interns `template` into the canonical list, occurrence-aware: returns the
-/// index of the `occurrence`-th canonical copy of the content, appending one
-/// if fewer exist.
+/// Interns `template` — the next entry of one shard's template list for a
+/// key — occurrence-aware: the k-th copy of a content in the shard's list
+/// maps to the k-th canonical copy.  `index` maps the key's canonical
+/// contents to the canonical indices holding them, `occurrences` counts the
+/// copies of each content the shard's list has interned so far, and
+/// `canonical_len` is the length of the canonical list.  Returns the
+/// canonical index and whether the caller must append the template there
+/// (`index` already names it).
 fn intern_template(
-    canonical: &mut Vec<StringTemplate>,
+    index: &mut HashMap<StringTemplate, Vec<usize>>,
+    occurrences: &mut HashMap<usize, usize>,
     template: &StringTemplate,
-    occurrence: usize,
-) -> usize {
-    let mut seen = 0;
-    for (index, existing) in canonical.iter().enumerate() {
-        if existing == template {
-            if seen == occurrence {
-                return index;
-            }
-            seen += 1;
+    canonical_len: usize,
+) -> (usize, bool) {
+    let copies = index.get(template);
+    // A content is named by its first canonical index; a new one by the
+    // index it is about to get.
+    let first = copies.map_or(canonical_len, |copies| copies[0]);
+    let seen = occurrences.entry(first).or_insert(0);
+    let occurrence = *seen;
+    *seen += 1;
+    if let Some(&existing) = copies.and_then(|copies| copies.get(occurrence)) {
+        return (existing, false);
+    }
+    match index.get_mut(template) {
+        Some(copies) => copies.push(canonical_len),
+        None => {
+            index.insert(template.clone(), vec![canonical_len]);
         }
     }
-    canonical.push(template.clone());
-    canonical.len() - 1
+    (canonical_len, true)
 }
 
 /// Rewrites a topology pattern's span-pattern references through `remap`
@@ -568,7 +777,7 @@ mod tests {
     use crate::collector::MintDeployment;
     use crate::config::{MintConfig, SamplingMode};
     use proptest::prelude::*;
-    use trace_model::{Trace, TraceSet};
+    use trace_model::{Span, SpanId, SpanKind, Trace, TraceId, TraceSet};
     use workload::{online_boutique, GeneratorConfig, TraceGenerator};
 
     fn workload(seed: u64, n: usize) -> TraceSet {
@@ -789,6 +998,252 @@ mod tests {
             mounted += summed;
         }
         assert!(mounted > 90);
+    }
+
+    /// A one-shard deployment warmed on `workload(seed, 120)` that has
+    /// ingested it and been reconciled once.
+    fn reconciled_shard(seed: u64) -> (IncrementalMerger, Vec<MintDeployment>, TraceSet) {
+        let traces = workload(seed, 120);
+        let mut shard = MintDeployment::new(MintConfig::default());
+        shard.warm_up(&traces);
+        for trace in &traces {
+            shard.ingest_trace(trace);
+        }
+        let shards = vec![shard];
+        let mut merger = IncrementalMerger::new();
+        merger.reconcile(&shards);
+        (merger, shards, traces)
+    }
+
+    /// Whether two published catalogs of one node share every pattern
+    /// table: span patterns, templates, bucketers and topology patterns.
+    fn shares_tables(a: &MintBackend, b: &MintBackend, node: &str) -> bool {
+        let (Some(ca), Some(cb)) = (a.catalog(node), b.catalog(node)) else {
+            return false;
+        };
+        let (Some(ta), Some(tb)) = (a.topo_patterns(node), b.topo_patterns(node)) else {
+            return false;
+        };
+        ca.spans.shares_patterns_with(&cb.spans)
+            && Arc::ptr_eq(&ca.templates, &cb.templates)
+            && Arc::ptr_eq(&ca.bucketers, &cb.bucketers)
+            && Arc::ptr_eq(ta, tb)
+    }
+
+    #[test]
+    fn consecutive_generations_share_the_tables_of_nodes_that_interned_nothing() {
+        let (mut merger, mut shards, traces) = reconciled_shard(9);
+        let handle = merger.query_handle();
+        let mut nodes: Vec<String> = shards[0].agents.keys().cloned().collect();
+        nodes.sort();
+
+        // An epoch of known patterns: every node republishes fresh duration
+        // statistics beside the tables of the previous generation.
+        for trace in traces.iter().take(20) {
+            shards[0].ingest_trace(trace);
+        }
+        let first = handle.snapshot();
+        let known = merger.reconcile(&shards);
+        assert_eq!(
+            (
+                known.new_templates,
+                known.new_span_patterns,
+                known.new_topo_patterns
+            ),
+            (0, 0, 0)
+        );
+        let second = handle.snapshot();
+        assert_eq!(second.generation(), first.generation() + 1);
+        for node in &nodes {
+            assert!(
+                shares_tables(first.backend(), second.backend(), node),
+                "{node}"
+            );
+        }
+
+        // A span of a new operation on one node: that node's span and
+        // topology tables are written anew, every other node's are shared.
+        let novel = &nodes[0];
+        let trace_id = TraceId::from_u128(0xfeed);
+        let span = Span::builder(trace_id, SpanId::from_u64(1))
+            .service(novel.as_str())
+            .name("an-operation-never-seen-before")
+            .kind(SpanKind::Server)
+            .start_time_us(1_000)
+            .duration_us(250)
+            .build();
+        shards[0].ingest_trace(&Trace::from_spans(trace_id, vec![span]).unwrap());
+        let new = merger.reconcile(&shards);
+        assert_eq!((new.new_span_patterns, new.new_topo_patterns), (1, 1));
+        let third = handle.snapshot();
+        for node in &nodes {
+            let shared = shares_tables(second.backend(), third.backend(), node);
+            assert_eq!(shared, node != novel, "{node}");
+        }
+        let (before, after) = (
+            second.backend().catalog(novel).unwrap(),
+            third.backend().catalog(novel).unwrap(),
+        );
+        assert!(!before.spans.shares_patterns_with(&after.spans));
+        assert_eq!(after.spans.len(), before.spans.len() + 1);
+        // Tables nothing was added to stay shared even on that node.
+        assert!(Arc::ptr_eq(&before.templates, &after.templates));
+        assert!(!third.query(trace_id).is_miss());
+    }
+
+    /// The first `(node, key)` of a shard whose string parser holds a
+    /// template with a constant token, and that template's index.
+    fn interned_template(shard: &MintDeployment) -> (String, String, usize) {
+        let mut nodes: Vec<&String> = shard.agents.keys().collect();
+        nodes.sort();
+        for node in nodes {
+            let parser = shard.agents[node].span_parser();
+            for (key, attribute) in parser.attribute_parsers() {
+                let AttributeParser::Strings(strings) = attribute else {
+                    continue;
+                };
+                let template = strings.templates().iter().position(|template| {
+                    template
+                        .tokens()
+                        .iter()
+                        .any(|token| matches!(token, crate::span_parser::TemplateToken::Const(_)))
+                });
+                if let Some(index) = template {
+                    return (node.clone(), key.to_owned(), index);
+                }
+            }
+        }
+        panic!("no interned template with a constant token");
+    }
+
+    fn string_parser<'a>(
+        shards: &'a mut [MintDeployment],
+        node: &str,
+        key: &str,
+    ) -> &'a mut StringAttributeParser {
+        let agent = shards[0].agents.get_mut(node).unwrap();
+        agent.span_parser_mut().string_parser_mut(key).unwrap()
+    }
+
+    #[test]
+    fn rewriting_an_interned_template_rebuilds_exactly_once() {
+        let (mut merger, mut shards, _) = reconciled_shard(17);
+        let (node, key, index) = interned_template(&shards[0]);
+        let parser = string_parser(&mut shards, &node, &key);
+        assert!(parser.generalize_template(index, &["an-unrelated-token"]));
+        let rewritten = parser.templates()[index].clone();
+
+        let rebuilt = merger.reconcile(&shards);
+        assert!(rebuilt.full_rebuild);
+        let settled = merger.reconcile(&shards);
+        assert!(!settled.full_rebuild);
+        assert_eq!(merger.full_rebuilds(), 1);
+        let catalog = merger.backend().catalog(&node).unwrap();
+        assert_eq!(catalog.templates[&key][index], rewritten);
+    }
+
+    #[test]
+    fn rewrites_the_watermark_never_saw_rebuild_nothing() {
+        let (mut merger, mut shards, _) = reconciled_shard(23);
+        let (node, key, index) = interned_template(&shards[0]);
+
+        // A generalization that keeps an interned template's tokens.
+        let parser = string_parser(&mut shards, &node, &key);
+        let own: Vec<String> = parser.templates()[index]
+            .tokens()
+            .iter()
+            .map(|token| match token {
+                crate::span_parser::TemplateToken::Const(text) => text.clone(),
+                crate::span_parser::TemplateToken::Var => "x".to_owned(),
+            })
+            .collect();
+        assert!(!parser.generalize_template(index, &own));
+        assert!(!merger.reconcile(&shards).full_rebuild);
+
+        // A template learned after the watermark and rewritten before the
+        // next merge is interned as it is then.
+        let parser = string_parser(&mut shards, &node, &key);
+        let (learned, _) = parser.parse("quite novel words nobody generated");
+        assert!(parser.generalize_template(learned, &["quite", "other", "words"]));
+        let rewritten = parser.templates()[learned].clone();
+        let stats = merger.reconcile(&shards);
+        assert!(!stats.full_rebuild);
+        assert_eq!(stats.new_templates, 1);
+        assert_eq!(merger.full_rebuilds(), 0);
+        let catalog = merger.backend().catalog(&node).unwrap();
+        assert_eq!(catalog.templates[&key].last(), Some(&rewritten));
+    }
+
+    /// The interning the content index replaced: the occurrence recounted
+    /// over the shard list's prefix, the canonical list scanned for it.
+    fn intern_linear(
+        canonical: &mut Vec<StringTemplate>,
+        list: &[StringTemplate],
+        at: usize,
+    ) -> usize {
+        let template = &list[at];
+        let occurrence = list[..at].iter().filter(|t| *t == template).count();
+        let mut seen = 0;
+        for (index, existing) in canonical.iter().enumerate() {
+            if existing == template {
+                if seen == occurrence {
+                    return index;
+                }
+                seen += 1;
+            }
+        }
+        canonical.push(template.clone());
+        canonical.len() - 1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Satellite: occurrence-aware interning through the content index
+        /// assigns every shard entry the canonical index the linear scan
+        /// does, on lists full of duplicates, merged across shards and
+        /// epochs in any order of growth.
+        #[test]
+        fn content_indexed_interning_matches_the_linear_scan(
+            lists in proptest::collection::vec(proptest::collection::vec(0usize..4, 0..12), 1..4),
+            cuts in proptest::collection::vec(0usize..13, 0..4),
+        ) {
+            let alphabet: Vec<StringTemplate> = ["a", "b <*>", "c d", "<*>"]
+                .iter()
+                .map(|text| StringTemplate::from_tokens(&crate::lcs::tokenize(text)))
+                .collect();
+            let lists: Vec<Vec<StringTemplate>> = lists
+                .iter()
+                .map(|list| list.iter().map(|&i| alphabet[i].clone()).collect())
+                .collect();
+            let mut epochs = cuts;
+            epochs.sort_unstable();
+            epochs.push(usize::MAX);
+
+            let (mut linear, mut indexed) = (Vec::new(), Vec::new());
+            let mut index = HashMap::new();
+            let mut occurrences = vec![HashMap::new(); lists.len()];
+            let mut marks = vec![0usize; lists.len()];
+            for cut in epochs {
+                for (shard, list) in lists.iter().enumerate() {
+                    for at in marks[shard]..cut.min(list.len()) {
+                        let expected = intern_linear(&mut linear, list, at);
+                        let (got, appended) = intern_template(
+                            &mut index,
+                            &mut occurrences[shard],
+                            &list[at],
+                            indexed.len(),
+                        );
+                        if appended {
+                            indexed.push(list[at].clone());
+                        }
+                        prop_assert_eq!(got, expected, "shard {} entry {}", shard, at);
+                    }
+                    marks[shard] = marks[shard].max(cut.min(list.len()));
+                }
+            }
+            prop_assert_eq!(indexed, linear);
+        }
     }
 
     #[test]

@@ -157,9 +157,18 @@ impl PrefixIndex {
 /// parsers each grow their own vocabulary, and cross-shard merging keeps
 /// operating on the canonical string templates, which preserves the
 /// content-addressed equivalence oracle.
+///
+/// Every template carries a revision stamp (kept in its interned mirror):
+/// the value of the parser's stamp clock when its tokens were last written
+/// (created, or changed in place by generalization).  A stamp that moved
+/// means the template's content moved, which is how the incremental merge
+/// detects drift without keeping copies of the templates it interned.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StringAttributeParser {
     templates: Vec<StringTemplate>,
+    /// The next revision stamp to hand out; it never repeats one already
+    /// handed out (short of wrapping after 2³² writes).
+    clock: u32,
     interned: Vec<InternedTemplate>,
     interner: Interner,
     index: InternedPrefixIndex,
@@ -188,6 +197,7 @@ impl StringAttributeParser {
     pub fn new(threshold: f64) -> Self {
         StringAttributeParser {
             templates: Vec::new(),
+            clock: 0,
             interned: Vec::new(),
             interner: Interner::new(),
             index: InternedPrefixIndex::new(),
@@ -208,6 +218,26 @@ impl StringAttributeParser {
         &self.templates
     }
 
+    /// The revision stamp of each template, in [`Self::templates`] order:
+    /// a template's stamp changes exactly when its tokens change.
+    pub(crate) fn stamps(&self) -> impl Iterator<Item = u32> + '_ {
+        self.interned.iter().map(InternedTemplate::stamp)
+    }
+
+    /// Continues `previous`'s stamp clock, so that no template of this
+    /// parser — which replaces `previous` — repeats a stamp `previous`
+    /// handed out.  Call before adding any template.
+    pub(super) fn succeed(&mut self, previous: &StringAttributeParser) {
+        self.clock = previous.clock;
+    }
+
+    /// Hands out the next revision stamp.
+    fn next_stamp(&mut self) -> u32 {
+        let stamp = self.clock;
+        self.clock = self.clock.wrapping_add(1);
+        stamp
+    }
+
     /// Number of templates.
     pub fn template_count(&self) -> usize {
         self.templates.len()
@@ -222,21 +252,41 @@ impl StringAttributeParser {
     /// returns its id.  Used by the offline warm-up after clustering.
     pub fn add_template(&mut self, template: StringTemplate) -> usize {
         let id = self.templates.len();
+        let stamp = self.next_stamp();
         let interned = InternedTemplate::from_template(&template, &mut self.interner);
         self.index.insert(id, &interned);
-        self.interned.push(interned);
+        self.interned.push(interned.with_stamp(stamp));
         self.templates.push(template);
         id
     }
 
+    /// Generalizes template `id` so that it also covers `tokens` (see
+    /// [`StringTemplate::generalize`]) and returns whether its tokens
+    /// changed.  Only a change restamps the template and re-lowers it onto
+    /// the interner and the prefix index.
+    pub(crate) fn generalize_template<S: AsRef<str>>(&mut self, id: usize, tokens: &[S]) -> bool {
+        if !self.templates[id].generalize(tokens) {
+            return false;
+        }
+        let first_before = self.interned[id].first_const();
+        self.reintern(id);
+        if self.interned[id].first_const() != first_before {
+            self.index.rebuild(&self.interned);
+        }
+        true
+    }
+
     /// Re-lowers template `id` onto the interner after a string-level
-    /// mutation (generalization).  Generalization only ever *keeps or drops*
+    /// mutation (generalization), with a fresh revision stamp: this is the
+    /// one place a template's tokens change.  Generalization only ever *keeps or drops*
     /// constants — `merge` copies matched `Const` tokens from the template
     /// side — so this never grows the vocabulary and value ids stay stable.
     fn reintern(&mut self, id: usize) {
         let before = self.interner.len();
+        let stamp = self.next_stamp();
         self.interned[id] =
-            InternedTemplate::from_template(&self.templates[id], &mut self.interner);
+            InternedTemplate::from_template(&self.templates[id], &mut self.interner)
+                .with_stamp(stamp);
         debug_assert_eq!(
             before,
             self.interner.len(),
@@ -424,12 +474,7 @@ impl StringAttributeParser {
             value,
             ranges: &scratch.tokens,
         };
-        let first_before = self.interned[id].first_const();
-        self.templates[id].generalize(&tokens.to_vec());
-        self.reintern(id);
-        if self.interned[id].first_const() != first_before {
-            self.index.rebuild(&self.interned);
-        }
+        self.generalize_template(id, &tokens.to_vec());
         if self.interned[id].match_ranges(&scratch.ids, &mut scratch.ranges) {
             writer.push_slots(&tokens, &scratch.ranges);
         } else {
@@ -754,6 +799,39 @@ mod tests {
         let small = parser.stored_size();
         parser.parse("completely different content here");
         assert!(parser.stored_size() > small);
+    }
+
+    #[test]
+    fn stamps_move_exactly_when_tokens_change() {
+        let mut parser = StringAttributeParser::new(0.6);
+        parser.parse("report job 12 finished in 30 ms");
+        parser.parse("HGETALL cart:abc");
+        let stamps: Vec<u32> = parser.stamps().collect();
+        assert_eq!(stamps.len(), 2);
+        assert_ne!(stamps[0], stamps[1]);
+
+        // Values that match as they are, and a generalization that keeps the
+        // tokens, leave every stamp where it was.
+        parser.parse("report job 99 finished in 7 ms");
+        parser.parse("HGETALL cart:abc");
+        let own: Vec<&str> = ["report", "job", "7", "finished", "in", "8", "ms"].into();
+        assert!(!parser.generalize_template(0, &own));
+        assert!(parser.stamps().eq(stamps.iter().copied()));
+
+        // A generalization that rewrites a token restamps that template only,
+        // with a stamp neither template held before.
+        assert!(parser.generalize_template(0, &["report", "task", "1", "finished"]));
+        let restamped: Vec<u32> = parser.stamps().collect();
+        assert_ne!(restamped[0], stamps[0]);
+        assert_ne!(restamped[0], stamps[1]);
+        assert_eq!(restamped[1], stamps[1]);
+
+        // A successor parser never repeats a stamp of the one it replaces.
+        let mut successor = StringAttributeParser::new(0.6);
+        successor.succeed(&parser);
+        successor.parse("report job 12 finished in 30 ms");
+        let first = successor.stamps().next().unwrap();
+        assert!(parser.stamps().all(|stamp| stamp < first));
     }
 
     #[test]

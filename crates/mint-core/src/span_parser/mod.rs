@@ -27,6 +27,7 @@ use crate::intern::{BuildFxHasher, Interner};
 use crate::params::{ParamRef, ParamsWriter, SpanParams, SpanRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 use trace_model::{AttrValue, Attributes, PatternId, Span, SpanKind, SpanStatus, TraceId};
 
 /// A span pattern: the commonality part of a span (§3.2.1 "Patterns
@@ -108,12 +109,34 @@ impl Default for DurationStats {
     }
 }
 
-/// The library of span patterns discovered so far, mapping each pattern to a
-/// stable [`PatternId`] and tracking per-pattern duration statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SpanPatternLibrary {
+/// The patterns of a [`SpanPatternLibrary`] by id and by content.  Every
+/// catalog taken from the library shares it, and the library writes it
+/// copy-on-write, so a table is copied only when a pattern is added while a
+/// catalog still holds it.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct PatternTable {
     by_pattern: HashMap<SpanPattern, PatternId>,
     by_id: Vec<SpanPattern>,
+}
+
+impl PatternTable {
+    /// Appends a pattern the table does not hold and returns its id.
+    fn push(&mut self, pattern: SpanPattern) -> PatternId {
+        let id = PatternId::from_u128(self.by_id.len() as u128 + 1);
+        self.by_pattern.insert(pattern.clone(), id);
+        self.by_id.push(pattern);
+        id
+    }
+}
+
+/// The library of span patterns discovered so far, mapping each pattern to a
+/// stable [`PatternId`] and tracking per-pattern duration statistics.
+///
+/// The pattern table is shared (see `PatternTable`); the duration statistics,
+/// which change with every span, sit beside it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SpanPatternLibrary {
+    table: Arc<PatternTable>,
     durations: Vec<DurationStats>,
 }
 
@@ -127,14 +150,12 @@ impl SpanPatternLibrary {
     /// observed span duration against it.
     /// The boolean is `true` when the pattern was newly inserted.
     pub fn get_or_insert(&mut self, pattern: SpanPattern, duration_us: u64) -> (PatternId, bool) {
-        if let Some(&id) = self.by_pattern.get(&pattern) {
+        if let Some(&id) = self.table.by_pattern.get(&pattern) {
             let index = (id.as_u128() - 1) as usize;
             self.durations[index].observe(duration_us);
             return (id, false);
         }
-        let id = PatternId::from_u128(self.by_id.len() as u128 + 1);
-        self.by_pattern.insert(pattern.clone(), id);
-        self.by_id.push(pattern);
+        let id = Arc::make_mut(&mut self.table).push(pattern);
         let mut stats = DurationStats::default();
         stats.observe(duration_us);
         self.durations.push(stats);
@@ -156,14 +177,12 @@ impl SpanPatternLibrary {
     /// ids are assigned in absorption order, so callers must record the
     /// returned id to remap shard-local references.
     pub fn absorb(&mut self, pattern: SpanPattern, stats: DurationStats) -> PatternId {
-        if let Some(&id) = self.by_pattern.get(&pattern) {
+        if let Some(&id) = self.table.by_pattern.get(&pattern) {
             let index = (id.as_u128() - 1) as usize;
             self.durations[index].merge(&stats);
             return id;
         }
-        let id = PatternId::from_u128(self.by_id.len() as u128 + 1);
-        self.by_pattern.insert(pattern.clone(), id);
-        self.by_id.push(pattern);
+        let id = Arc::make_mut(&mut self.table).push(pattern);
         self.durations.push(stats);
         id
     }
@@ -171,7 +190,7 @@ impl SpanPatternLibrary {
     /// Looks up a pattern by id.
     pub fn get(&self, id: PatternId) -> Option<&SpanPattern> {
         let index = id.as_u128().checked_sub(1)? as usize;
-        self.by_id.get(index)
+        self.table.by_id.get(index)
     }
 
     /// The duration statistics recorded for a pattern.
@@ -180,38 +199,43 @@ impl SpanPatternLibrary {
         self.durations.get(index).copied()
     }
 
+    /// The duration statistics of every pattern, in id order.
+    pub(crate) fn durations(&self) -> &[DurationStats] {
+        &self.durations
+    }
+
+    /// This library's patterns with `durations` beside them (one statistic
+    /// per pattern, in id order): the table is shared, not copied.  The
+    /// incremental merge publishes its canonical patterns this way, with
+    /// statistics refolded from the shards.
+    pub(crate) fn with_durations(&self, durations: Vec<DurationStats>) -> SpanPatternLibrary {
+        debug_assert_eq!(durations.len(), self.len());
+        SpanPatternLibrary {
+            table: Arc::clone(&self.table),
+            durations,
+        }
+    }
+
+    /// Whether the two libraries share one pattern table.
+    #[cfg(test)]
+    pub(crate) fn shares_patterns_with(&self, other: &SpanPatternLibrary) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+
     /// Number of patterns in the library.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.table.by_id.len()
     }
 
     /// Whether the library is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// Resets every pattern's duration statistics to the empty statistic.
-    /// The incremental merge uses this to refold partition-invariant sums
-    /// from per-shard cumulative statistics each epoch.
-    pub(crate) fn clear_duration_stats(&mut self) {
-        self.durations
-            .iter_mut()
-            .for_each(|d| *d = DurationStats::default());
-    }
-
-    /// Folds `stats` into the statistics recorded for `id` (no-op for an
-    /// unknown id).
-    pub(crate) fn fold_duration_stats(&mut self, id: PatternId, stats: &DurationStats) {
-        if let Some(index) = id.as_u128().checked_sub(1) {
-            if let Some(d) = self.durations.get_mut(index as usize) {
-                d.merge(stats);
-            }
-        }
+        self.table.by_id.is_empty()
     }
 
     /// Iterates over `(id, pattern)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (PatternId, &SpanPattern)> {
-        self.by_id
+        self.table
+            .by_id
             .iter()
             .enumerate()
             .map(|(i, p)| (PatternId::from_u128(i as u128 + 1), p))
@@ -219,7 +243,8 @@ impl SpanPatternLibrary {
 
     /// Total bytes of all stored patterns (duration statistics included).
     pub fn stored_size(&self) -> usize {
-        self.by_id
+        self.table
+            .by_id
             .iter()
             .map(SpanPattern::stored_size)
             .sum::<usize>()
@@ -231,14 +256,17 @@ impl SpanPatternLibrary {
 /// patterns, string templates and numeric bucketers.  This is the
 /// "Pattern Library" payload the collector periodically uploads, and the
 /// backend's dictionary for reconstructing spans.
+///
+/// The pattern tables are behind [`Arc`]s, so catalogs that differ only in
+/// duration statistics — consecutive epochs of one merged node — share them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PatternCatalog {
     /// The span pattern library.
     pub spans: SpanPatternLibrary,
     /// String templates per attribute key.
-    pub templates: HashMap<String, Vec<StringTemplate>>,
+    pub templates: Arc<HashMap<String, Vec<StringTemplate>>>,
     /// Numeric bucketers per attribute key.
-    pub bucketers: HashMap<String, NumericBucketer>,
+    pub bucketers: Arc<HashMap<String, NumericBucketer>>,
     /// Bucketer used for span durations.
     pub duration_bucketer: NumericBucketer,
 }
@@ -411,7 +439,9 @@ impl SpanParser {
     }
 
     /// Cold half of [`Self::key_id`]: ids are dense, so a new key's id is
-    /// the next index.
+    /// the next index.  Kept out of line, so that `key_id` stays small
+    /// enough to be inlined into `parse_into`.
+    #[cold]
     fn add_parser(&mut self, key: &str, value: &AttrValue) {
         self.attr_parsers.push(KeyedParser {
             key: key.to_owned(),
@@ -448,6 +478,10 @@ impl SpanParser {
                 continue;
             }
             let mut parser = StringAttributeParser::new(self.threshold);
+            if let AttributeParser::Strings(previous) = &self.attr_parsers[index].parser {
+                // Replacing a key's templates rewrites them in place.
+                parser.succeed(previous);
+            }
             for template in cluster_strings(values, self.threshold) {
                 parser.add_template(template);
             }
@@ -557,17 +591,38 @@ impl SpanParser {
                 .sum::<usize>()
     }
 
-    /// Stored bytes of the closed-form (numeric and boolean) attribute
-    /// parsers, per key.  String parsers are excluded: their templates are in
-    /// the catalog and merged by content across shards.
-    pub fn scalar_parser_sizes(&self) -> Vec<(String, usize)> {
+    /// Every attribute key with its parser, borrowed, in the order the keys
+    /// were first seen — which [`Self::key_index`] numbers from 0.  What the
+    /// incremental merge reads a shard's templates, bucketers and
+    /// closed-form parser sizes from, in place.
+    pub(crate) fn attribute_parsers(&self) -> impl Iterator<Item = (&str, &AttributeParser)> {
         self.attr_parsers
             .iter()
-            .filter_map(|keyed| match &keyed.parser {
-                AttributeParser::Strings(_) => None,
-                other => Some((keyed.key.clone(), other.stored_size())),
-            })
-            .collect()
+            .map(|keyed| (keyed.key.as_str(), &keyed.parser))
+    }
+
+    /// The position of attribute `key` in [`Self::attribute_parsers`].
+    pub(crate) fn key_index(&self, key: &str) -> Option<usize> {
+        match self.keys.lookup(key) {
+            crate::intern::UNKNOWN_ID => None,
+            id => Some(id as usize - 1),
+        }
+    }
+
+    /// The bucketer of span durations.
+    pub(crate) fn duration_bucketer(&self) -> NumericBucketer {
+        self.duration_bucketer
+    }
+
+    /// The string parser of attribute `key`, for tests that rewrite a
+    /// template in place.
+    #[cfg(test)]
+    pub(crate) fn string_parser_mut(&mut self, key: &str) -> Option<&mut StringAttributeParser> {
+        let index = self.key_index(key)?;
+        match &mut self.attr_parsers[index].parser {
+            AttributeParser::Strings(parser) => Some(parser),
+            _ => None,
+        }
     }
 
     /// Aggregated prefilter counters across the per-key string parsers.
@@ -598,8 +653,8 @@ impl SpanParser {
         }
         PatternCatalog {
             spans: self.library.clone(),
-            templates,
-            bucketers,
+            templates: Arc::new(templates),
+            bucketers: Arc::new(bucketers),
             duration_bucketer: self.duration_bucketer,
         }
     }

@@ -365,17 +365,24 @@ impl TopoPatternLibrary {
             .map(|(i, e)| (PatternId::from_u128(i as u128 + 1), &e.pattern, e.matches))
     }
 
-    /// Clones the current (partial, non-empty) Bloom filters without
-    /// resetting them, as `(pattern id, filter)` pairs.  The sharded merge
-    /// step uses this to publish every shard's mounted metadata while leaving
-    /// the shard's own state untouched, so repeated merges stay correct.
-    pub fn partial_blooms(&self) -> Vec<(PatternId, BloomFilter)> {
+    /// The current (partial, non-empty) Bloom filters, borrowed, as
+    /// `(pattern id, match count, filter)`.  The incremental merge publishes
+    /// every shard's mounted metadata from these while leaving the shard's
+    /// own state untouched; a filter whose pattern's match count has not
+    /// moved since it last looked holds no new trace id, so only the others
+    /// are copied.
+    pub fn partial_blooms(&self) -> impl Iterator<Item = (PatternId, u64, &BloomFilter)> {
         self.entries
             .iter()
             .enumerate()
             .filter(|(_, entry)| !entry.bloom.is_empty())
-            .map(|(i, entry)| (PatternId::from_u128(i as u128 + 1), entry.bloom.clone()))
-            .collect()
+            .map(|(i, entry)| {
+                (
+                    PatternId::from_u128(i as u128 + 1),
+                    entry.matches,
+                    &entry.bloom,
+                )
+            })
     }
 
     /// Drains the current (partial) Bloom filters for a final upload,
