@@ -638,7 +638,7 @@ fn main() {
     });
     println!(
         "extract pairs: {} matched by both tiers, {} recovered from the greedy \
-         anchor bug by the DP fallback",
+         anchor bug by the exact tier",
         pairs.len(),
         recovered
     );

@@ -18,17 +18,16 @@
 //! identifiers never enter the interner.
 //!
 //! On top of the ids this module provides the interned template
-//! representation ([`InternedTemplate`]) with the greedy + reachability-DP
-//! matcher ported to `&[u32]`, the interned prefix index, and the two exact
+//! representation ([`InternedTemplate`]) with the string form's slot matcher
+//! run on `&[u32]`, the interned prefix index, and the two exact
 //! prefilters (length bound and 128-bit token-bag fingerprint bound) that let
 //! the parser skip provably-losing candidates before any LCS call.  See
 //! `similarity-preservation` notes on each method for why the prefilters can
 //! never change which template wins.
 
 use crate::lcs::TokenMaskTable;
-use crate::span_parser::{StringTemplate, TemplateToken};
+use crate::span_parser::{match_slots, StringTemplate, TemplateToken};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -211,12 +210,6 @@ impl PrefilterStats {
     }
 }
 
-thread_local! {
-    /// Flat reachability table for the interned exact matcher's DP fallback,
-    /// mirroring the string matcher's scratch (the two never nest).
-    static IMATCH_SCRATCH: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
-}
-
 /// A [`StringTemplate`] lowered onto interner ids: constants become their
 /// dense id, variable slots become [`WILDCARD_ID`].  Carries the derived
 /// facts the hot path needs (const/var counts, first const, 128-bit const
@@ -383,112 +376,19 @@ impl InternedTemplate {
     /// `(start, end)` token range per variable slot into `ranges` (cleared
     /// first).  Returns `false` when the constant skeleton does not align.
     ///
-    /// Allocation-free two-tier matcher: the greedy scan answers the common
-    /// case; the reachability DP decides the anchor-in-slot cases, exactly
-    /// like the string matcher in `span_parser/template.rs` (the two tiers
-    /// produce identical leftmost-shortest ranges).
+    /// Runs the string form's slot matcher (`match_slots`) on ids, so both
+    /// forms give the same verdict and the same ranges, adjacent-slot
+    /// convention included.
     // mint-lint: hot
     pub fn match_ranges(&self, ids: &[u32], ranges: &mut Vec<(u32, u32)>) -> bool {
-        if self.match_greedy_ids(ids, ranges) {
-            return true;
-        }
-        self.match_exact_ids(ids, ranges)
-    }
-
-    /// Greedy one-pass matcher on ids; sound but incomplete (see the string
-    /// twin for the anchor-in-slot counterexample).
-    // mint-lint: hot
-    fn match_greedy_ids(&self, ids: &[u32], ranges: &mut Vec<(u32, u32)>) -> bool {
-        ranges.clear();
         let template = &self.ids;
-        let mut pos = 0usize;
-        let mut i = 0usize;
-        while i < template.len() {
-            let tid = template[i];
-            if tid != WILDCARD_ID {
-                if pos < ids.len() && ids[pos] == tid {
-                    pos += 1;
-                    i += 1;
-                } else {
-                    return false;
-                }
-            } else {
-                let anchor = template[i + 1..]
-                    .iter()
-                    .copied()
-                    .find(|&id| id != WILDCARD_ID);
-                let start = pos;
-                match anchor {
-                    Some(anchor) => {
-                        while pos < ids.len() && ids[pos] != anchor {
-                            pos += 1;
-                        }
-                        if pos >= ids.len() {
-                            return false;
-                        }
-                    }
-                    None => pos = ids.len(),
-                }
-                ranges.push((start as u32, pos as u32));
-                i += 1;
-            }
-        }
-        pos == ids.len()
-    }
-
-    /// Exact matcher on ids: reachability table + leftmost-shortest forward
-    /// reconstruction, identical in structure to the string DP fallback.
-    // mint-lint: hot
-    fn match_exact_ids(&self, ids: &[u32], ranges: &mut Vec<(u32, u32)>) -> bool {
-        ranges.clear();
-        let template = &self.ids;
-        let n = template.len();
-        let m = ids.len();
-        let width = m + 1;
-        IMATCH_SCRATCH.with(|cell| {
-            let can = &mut *cell.borrow_mut();
-            can.clear();
-            can.resize((n + 1) * width, false);
-            can[n * width + m] = true;
-            for i in (0..n).rev() {
-                let (lower, upper) = can.split_at_mut((i + 1) * width);
-                let row = &mut lower[i * width..];
-                let next = &upper[..width];
-                let tid = template[i];
-                if tid != WILDCARD_ID {
-                    for pos in 0..m {
-                        row[pos] = ids[pos] == tid && next[pos + 1];
-                    }
-                    row[m] = false;
-                } else {
-                    let mut any = next[m];
-                    row[m] = any;
-                    for pos in (0..m).rev() {
-                        any |= next[pos];
-                        row[pos] = any;
-                    }
-                }
-            }
-            if !can[0] {
-                return false;
-            }
-            let mut pos = 0usize;
-            for (i, &tid) in template.iter().enumerate() {
-                if tid != WILDCARD_ID {
-                    pos += 1;
-                } else {
-                    let next = &can[(i + 1) * width..(i + 2) * width];
-                    let end = (pos..=m)
-                        .find(|&p| next[p])
-                        // mint-lint: allow(L003) — the backward pruning pass guarantees every reachable cell has a reachable successor
-                        .expect("reachable Var cell must have a reachable successor");
-                    ranges.push((pos as u32, end as u32));
-                    pos = end;
-                }
-            }
-            debug_assert_eq!(pos, m);
-            true
-        })
+        match_slots(
+            template.len(),
+            ids.len(),
+            |k| template[k] == WILDCARD_ID,
+            |k, pos| template[k] == ids[pos],
+            ranges,
+        )
     }
 }
 

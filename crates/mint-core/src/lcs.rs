@@ -191,7 +191,7 @@ impl TokenSeq for RangeTokens<'_> {
     }
 
     /// Compares bytes, which spares the two char-boundary checks of slicing
-    /// a `str` on every cell of the matcher's DP table.
+    /// a `str` on every comparison the template matcher makes.
     #[inline]
     fn token_is(&self, index: usize, expected: &str) -> bool {
         let (start, end) = self.ranges[index];

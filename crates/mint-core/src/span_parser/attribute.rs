@@ -689,7 +689,7 @@ mod tests {
     #[test]
     fn parse_after_interning_matches_string_semantics() {
         // The anchor-in-slot regression exercised through the interned
-        // matcher: the DP fallback must still recover it.
+        // matcher: the exact tier must still recover it.
         let mut parser = StringAttributeParser::new(0.6);
         parser.parse("get x now");
         parser.parse("get y now");

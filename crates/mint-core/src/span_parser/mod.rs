@@ -20,6 +20,7 @@ pub use attribute::{
 };
 pub use numeric::{NumericBucketer, NON_POSITIVE_BUCKET};
 pub use offline::cluster_strings;
+pub(crate) use template::match_slots;
 pub use template::{StringTemplate, TemplateToken};
 
 use crate::config::MintConfig;

@@ -1,9 +1,8 @@
 //! String templates: the common skeleton of a cluster of attribute values.
 
-use crate::lcs::{lcs_length, similarity, with_lcs_scratch, TokenSeq};
+use crate::lcs::{similarity, with_lcs_scratch, TokenSeq};
 use crate::params::PackedVars;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::fmt;
 
 /// One token of a string template: either a constant word or a variable slot.
@@ -33,12 +32,6 @@ pub struct StringTemplate {
 /// each.
 pub fn is_variable_token(token: &str) -> bool {
     token.chars().any(|c| c.is_ascii_digit())
-}
-
-thread_local! {
-    /// Flat `(template_len + 1) × (tokens_len + 1)` reachability table for the
-    /// exact matcher's DP fallback, reused across calls.
-    static MATCH_SCRATCH: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
 
 impl StringTemplate {
@@ -169,15 +162,12 @@ impl StringTemplate {
     ///
     /// Returns `None` if the constant skeleton does not align with the value.
     ///
-    /// Two-tier matcher: a linear greedy scan handles the common case with no
-    /// backtracking; when it fails, an exact `O(|template|·|tokens|)`
-    /// reachability DP decides matchability and reconstructs the
-    /// leftmost-shortest slot assignment.  The fallback is what makes values
-    /// whose parameters *contain* the next constant anchor match (template
-    /// `get <*> now` vs value `get now now`): the greedy scan stops a slot at
-    /// the first anchor occurrence and spuriously fails, while the DP
-    /// considers every slot boundary.  Where the greedy scan succeeds, its
-    /// answer is already leftmost-shortest, so the two tiers never disagree.
+    /// The slots are assigned by the two tiers of `match_slots` (below): a
+    /// greedy scan, then an exact segment search for the values whose
+    /// parameters contain the next constant anchor (template `get <*> now`
+    /// vs value `get now now`).  Outside runs of adjacent slots the tiers
+    /// agree; inside one, greedy gives the run's tokens to its first slot and
+    /// the segment tier to its last.
     pub fn match_and_extract<S: AsRef<str>>(&self, tokens: &[S]) -> Option<Vec<String>> {
         let mut spans = Vec::new();
         self.match_spans(tokens, &mut spans).then(|| {
@@ -208,174 +198,23 @@ impl StringTemplate {
         matched
     }
 
-    /// Allocation-free core of the two-tier matcher: writes one
-    /// `(start, end)` token range per variable slot into `spans` (cleared
-    /// first) and reports whether the skeleton aligned.
+    /// Allocation-free core of the matcher: writes one `(start, end)` token
+    /// range per variable slot into `spans` (cleared first) and reports
+    /// whether the skeleton aligned.
     // mint-lint: hot
     pub(crate) fn match_spans<T: TokenSeq + ?Sized>(
         &self,
         tokens: &T,
         spans: &mut Vec<(u32, u32)>,
     ) -> bool {
-        if self.match_greedy_spans(tokens, spans) {
-            return true;
-        }
-        self.match_exact_spans(tokens, spans)
-    }
-
-    /// Greedy one-pass matcher: each variable slot runs until the first
-    /// occurrence of the next constant anchor.  Sound (success is always a
-    /// valid match) but incomplete — it misses matches where a slot must
-    /// swallow a token equal to its anchor.
-    // mint-lint: hot
-    fn match_greedy_spans<T: TokenSeq + ?Sized>(
-        &self,
-        tokens: &T,
-        spans: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        spans.clear();
-        let mut pos = 0usize;
-        let mut i = 0usize;
-        while i < self.tokens.len() {
-            match &self.tokens[i] {
-                TemplateToken::Const(expected) => {
-                    if pos < tokens.len() && tokens.token_is(pos, expected) {
-                        pos += 1;
-                        i += 1;
-                    } else {
-                        return false;
-                    }
-                }
-                TemplateToken::Var => {
-                    // Find the next constant anchor, if any.
-                    let anchor = self.tokens[i + 1..].iter().find_map(|t| match t {
-                        TemplateToken::Const(s) => Some(s.as_str()),
-                        TemplateToken::Var => None,
-                    });
-                    let start = pos;
-                    match anchor {
-                        Some(anchor) => {
-                            while pos < tokens.len() && !tokens.token_is(pos, anchor) {
-                                pos += 1;
-                            }
-                            if pos >= tokens.len() {
-                                return false;
-                            }
-                        }
-                        None => pos = tokens.len(),
-                    }
-                    spans.push((start as u32, pos as u32));
-                    i += 1;
-                }
-            }
-        }
-        pos == tokens.len()
-    }
-
-    /// Exact matcher: computes the reachability table
-    /// `can[i][pos] ⇔ template[i..] matches tokens[pos..]`, then walks
-    /// forward assigning each variable slot the shortest span that keeps the
-    /// remainder matchable.  The table lives in a reusable thread-local
-    /// buffer.
-    // mint-lint: hot
-    fn match_exact_spans<T: TokenSeq + ?Sized>(
-        &self,
-        tokens: &T,
-        spans: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        // The table is taken out of its thread-local slot for the duration
-        // of the match and put back after it, so that the loops below run on
-        // plain locals whatever the inliner makes of the call chain above.
-        let mut can = MATCH_SCRATCH.take();
-        let matched = self.match_exact_spans_in(tokens, spans, &mut can);
-        MATCH_SCRATCH.set(can);
-        matched
-    }
-
-    /// [`Self::match_exact_spans`] on the reachability table `can`.
-    // mint-lint: hot
-    fn match_exact_spans_in<T: TokenSeq + ?Sized>(
-        &self,
-        tokens: &T,
-        spans: &mut Vec<(u32, u32)>,
-        can: &mut Vec<bool>,
-    ) -> bool {
-        spans.clear();
-        let n = self.tokens.len();
-        let m = tokens.len();
-        let width = m + 1;
-        can.clear();
-        can.resize((n + 1) * width, false);
-        // Base row: an exhausted template matches only an exhausted value.
-        can[n * width + m] = true;
-        for i in (0..n).rev() {
-            let (lower, upper) = can.split_at_mut((i + 1) * width);
-            let row = &mut lower[i * width..];
-            let next = &upper[..width];
-            match &self.tokens[i] {
-                TemplateToken::Const(expected) => {
-                    for pos in 0..m {
-                        row[pos] = tokens.token_is(pos, expected) && next[pos + 1];
-                    }
-                    row[m] = false;
-                }
-                TemplateToken::Var => {
-                    // A slot may consume any suffix-aligned span:
-                    // row[pos] = OR of next[pos..=m].
-                    let mut any = next[m];
-                    row[m] = any;
-                    for pos in (0..m).rev() {
-                        any |= next[pos];
-                        row[pos] = any;
-                    }
-                }
-            }
-        }
-        if !can[0] {
-            return false;
-        }
-        // Forward reconstruction: every step stays on a reachable cell.
-        let mut pos = 0usize;
-        for (i, token) in self.tokens.iter().enumerate() {
-            match token {
-                TemplateToken::Const(_) => pos += 1,
-                TemplateToken::Var => {
-                    let next = &can[(i + 1) * width..(i + 2) * width];
-                    let end = (pos..=m)
-                        .find(|&p| next[p])
-                        // mint-lint: allow(L003) — the backward pruning pass guarantees every reachable cell has a reachable successor
-                        .expect("reachable Var cell must have a reachable successor");
-                    spans.push((pos as u32, end as u32));
-                    pos = end;
-                }
-            }
-        }
-        debug_assert_eq!(pos, m);
-        true
-    }
-
-    /// Test-only view of the greedy tier as owned parameters.
-    #[cfg(test)]
-    fn match_greedy<S: AsRef<str>>(&self, tokens: &[S]) -> Option<Vec<String>> {
-        let mut spans = Vec::new();
-        self.match_greedy_spans(tokens, &mut spans).then(|| {
-            spans
-                .iter()
-                .map(|&(s, e)| join_tokens(&tokens[s as usize..e as usize]))
-                .collect()
-        })
-    }
-
-    /// Test-only view of the exact tier as owned parameters.
-    #[cfg(test)]
-    fn match_exact<S: AsRef<str>>(&self, tokens: &[S]) -> Option<Vec<String>> {
-        let mut spans = Vec::new();
-        self.match_exact_spans(tokens, &mut spans).then(|| {
-            spans
-                .iter()
-                .map(|&(s, e)| join_tokens(&tokens[s as usize..e as usize]))
-                .collect()
-        })
+        let template = &self.tokens;
+        match_slots(
+            template.len(),
+            tokens.len(),
+            |k| matches!(template[k], TemplateToken::Var),
+            |k, pos| matches!(&template[k], TemplateToken::Const(s) if tokens.token_is(pos, s)),
+            spans,
+        )
     }
 
     /// Reconstructs a (whitespace-normalized) value from per-slot parameters.
@@ -471,6 +310,141 @@ pub(crate) fn join_tokens<S: AsRef<str>>(tokens: &[S]) -> String {
     out
 }
 
+/// The slot matcher of both template forms ([`StringTemplate::match_spans`],
+/// `InternedTemplate::match_ranges`).  Template token `k` of `n` is a
+/// variable slot iff `is_var(k)`; constant `k` equals value token `pos` of
+/// `m` iff `eq(k, pos)`.  Writes one `(start, end)` value range per slot
+/// into `ranges` (cleared first) and reports whether the template matches.
+///
+/// A slot matches any run of tokens, the empty one included, so a template
+/// is a glob: runs of constants separated by runs of slots.  Two tiers:
+///
+/// 1. Greedy: each slot runs to the first occurrence of the next constant.
+///    One pass, no backtracking, and it answers almost every value; but a
+///    slot that must swallow a copy of its own anchor makes it fail
+///    (template `get <*> now` vs value `get now now`).
+/// 2. Segments, when greedy fails: the leading constant run must sit at 0,
+///    the trailing one flush with the end, and each run between them at its
+///    leftmost occurrence after the previous one.  Leftmost is always safe,
+///    because what follows a middle run starts with a slot: if the rest
+///    matches from `q` it matches from any `q' ≤ q`.  So this tier is exact,
+///    and each slot run ends where the rest first can start: the
+///    leftmost-shortest assignment.  At most O(n·m) comparisons.
+///
+/// The tiers split a run of adjacent slots differently, and both
+/// conventions are kept because parameter bytes are pinned: greedy gives the
+/// run's tokens to its *first* slot, the segment tier to its *last*, the
+/// others staying empty.  Template `user <*> <*> end` reads `user a b end`
+/// as `["a b", ""]` (greedy) and `user end x end`, where greedy fails, as
+/// `["", "end x"]`.
+// mint-lint: hot
+pub(crate) fn match_slots(
+    n: usize,
+    m: usize,
+    is_var: impl Fn(usize) -> bool,
+    eq: impl Fn(usize, usize) -> bool,
+    ranges: &mut Vec<(u32, u32)>,
+) -> bool {
+    greedy_slots(n, m, &is_var, &eq, ranges) || segment_slots(n, m, &is_var, &eq, ranges)
+}
+
+/// [`match_slots`]' first tier: each slot ends at the first occurrence of
+/// the next constant (or at the end of the value, after the last one).
+/// Sound but incomplete.
+// mint-lint: hot
+fn greedy_slots(
+    n: usize,
+    m: usize,
+    is_var: &impl Fn(usize) -> bool,
+    eq: &impl Fn(usize, usize) -> bool,
+    ranges: &mut Vec<(u32, u32)>,
+) -> bool {
+    ranges.clear();
+    let mut pos = 0;
+    for k in 0..n {
+        if !is_var(k) {
+            if pos < m && eq(k, pos) {
+                pos += 1;
+            } else {
+                return false;
+            }
+            continue;
+        }
+        let start = pos;
+        match (k + 1..n).find(|&next| !is_var(next)) {
+            Some(anchor) => {
+                while pos < m && !eq(anchor, pos) {
+                    pos += 1;
+                }
+                if pos == m {
+                    return false;
+                }
+            }
+            None => pos = m,
+        }
+        ranges.push((start as u32, pos as u32));
+    }
+    pos == m
+}
+
+/// [`match_slots`]' second tier: the constant runs placed leftmost, each
+/// slot run given the gap before the next one.  Exact.
+// mint-lint: hot
+fn segment_slots(
+    n: usize,
+    m: usize,
+    is_var: &impl Fn(usize) -> bool,
+    eq: &impl Fn(usize, usize) -> bool,
+    ranges: &mut Vec<(u32, u32)>,
+) -> bool {
+    ranges.clear();
+    let run_at = |first: usize, len: usize, pos: usize| (0..len).all(|j| eq(first + j, pos + j));
+    // The leading constant run is `..lead`, the trailing one `tail..`.
+    let Some(lead) = (0..n).find(|&k| is_var(k)) else {
+        return n == m && run_at(0, n, 0);
+    };
+    let mut tail = n;
+    while !is_var(tail - 1) {
+        tail -= 1;
+    }
+    if lead + n - tail > m {
+        return false;
+    }
+    let limit = m - (n - tail);
+    if !run_at(0, lead, 0) || !run_at(tail, n - tail, limit) {
+        return false;
+    }
+    let (mut k, mut pos) = (lead, lead);
+    while k < tail {
+        // The slot run `first..consts`, then the constant run `consts..k`
+        // (empty after the last slot, whose gap ends at the trailing run).
+        let first = k;
+        while k < tail && is_var(k) {
+            k += 1;
+        }
+        let consts = k;
+        while k < tail && !is_var(k) {
+            k += 1;
+        }
+        let (gap_end, next) = if consts == k {
+            (limit, limit)
+        } else {
+            let len = k - consts;
+            let last_start = (limit + 1).saturating_sub(len);
+            let Some(at) = (pos..last_start).find(|&at| run_at(consts, len, at)) else {
+                return false;
+            };
+            (at, at + len)
+        };
+        for _ in first + 1..consts {
+            ranges.push((pos as u32, pos as u32));
+        }
+        ranges.push((pos as u32, gap_end as u32));
+        pos = next;
+    }
+    true
+}
+
 /// Merges a template token sequence with a raw token sequence: tokens on the
 /// LCS stay constant, everything else becomes a (collapsed) variable slot.
 fn merge<S: AsRef<str>>(template: &[TemplateToken], tokens: &[S]) -> Vec<TemplateToken> {
@@ -517,17 +491,10 @@ fn merge<S: AsRef<str>>(template: &[TemplateToken], tokens: &[S]) -> Vec<Templat
     out
 }
 
-/// Sanity check used by `lcs_length` consumers: kept here so the module has a
-/// single place exercising the generic LCS against template merging.  The
-/// borrowed const tokens compare against owned value tokens directly.
-#[allow(dead_code)]
-fn template_lcs(template: &StringTemplate, tokens: &[String]) -> usize {
-    lcs_length(&template.const_tokens(), tokens)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::{InternedTemplate, Interner};
     use crate::lcs::{tokenize, tokenize_borrowed};
 
     fn template_from(values: &[&str]) -> StringTemplate {
@@ -626,8 +593,8 @@ mod tests {
                 .unwrap(),
             vec!["now and now".to_string()]
         );
-        // Two slots sharing an anchor token: the DP assigns each slot the
-        // shortest span that keeps the rest matchable.
+        // Two slots sharing an anchor token: the segment tier gives each
+        // slot the shortest span that keeps the rest matchable.
         let t = template_from(&["a x b y c", "a z b w c"]);
         assert_eq!(t.masked(), "a <*> b <*> c");
         assert_eq!(
@@ -656,21 +623,73 @@ mod tests {
         assert!(t.match_and_extract(&tokenize("walk job x end")).is_none());
     }
 
+    /// The ranges one tier of [`match_slots`] gives `value`, if it matches.
+    fn tier(template: &StringTemplate, value: &str, exact: bool) -> Option<Vec<(u32, u32)>> {
+        let tokens = tokenize(value);
+        let template = template.tokens();
+        let is_var = |k: usize| template[k] == TemplateToken::Var;
+        let eq = |k: usize, pos: usize| template[k] == TemplateToken::Const(tokens[pos].clone());
+        let (n, m, mut ranges) = (template.len(), tokens.len(), Vec::new());
+        let matched = if exact {
+            segment_slots(n, m, &is_var, &eq, &mut ranges)
+        } else {
+            greedy_slots(n, m, &is_var, &eq, &mut ranges)
+        };
+        matched.then_some(ranges)
+    }
+
+    fn greedy(template: &StringTemplate, value: &str) -> Option<Vec<(u32, u32)>> {
+        tier(template, value, false)
+    }
+
+    fn segments(template: &StringTemplate, value: &str) -> Option<Vec<(u32, u32)>> {
+        tier(template, value, true)
+    }
+
     #[test]
     fn exact_matcher_agrees_with_greedy_where_greedy_succeeds() {
+        // Without adjacent slots, where greedy succeeds both tiers give the
+        // same ranges.
         let t = template_from(&[
             "select * from A where id = 1",
             "select * from B where id = 2",
         ]);
-        let tokens = tokenize("select * from shipments where id = 9");
-        assert_eq!(t.match_greedy(&tokens), t.match_exact(&tokens));
+        let value = "select * from shipments where id = 9";
+        assert_eq!(greedy(&t, value), segments(&t, value));
+        assert!(greedy(&t, value).is_some());
         let t2 = template_from(&["get x now", "get y now"]);
-        let ok = tokenize("get later now");
-        assert_eq!(t2.match_greedy(&ok), t2.match_exact(&ok));
-        // And on the bug input the exact matcher strictly extends greedy.
-        let bug = tokenize("get now now");
-        assert_eq!(t2.match_greedy(&bug), None);
-        assert!(t2.match_exact(&bug).is_some());
+        assert_eq!(greedy(&t2, "get later now"), segments(&t2, "get later now"));
+        // And on the bug input the exact tier strictly extends greedy.
+        assert_eq!(greedy(&t2, "get now now"), None);
+        assert_eq!(segments(&t2, "get now now"), Some(vec![(1, 2)]));
+    }
+
+    #[test]
+    fn adjacent_slots_split_their_run_by_tier() {
+        // Greedy gives a slot run's tokens to its first slot, the segment
+        // tier to its last; the matcher answers with greedy when it can.
+        let t = StringTemplate::from_raw_tokens(&["user", "12", "34", "end"]);
+        assert_eq!(t.masked(), "user <*> <*> end");
+        assert_eq!(greedy(&t, "user a b end"), Some(vec![(1, 3), (3, 3)]));
+        assert_eq!(segments(&t, "user a b end"), Some(vec![(1, 1), (1, 3)]));
+        assert_eq!(greedy(&t, "user end x end"), None);
+        assert_eq!(segments(&t, "user end x end"), Some(vec![(1, 1), (1, 3)]));
+        let mut interner = Interner::new();
+        let interned = InternedTemplate::from_template(&t, &mut interner);
+        for (value, params, ranges) in [
+            ("user a b end", ["a b", ""], [(1, 3), (3, 3)]),
+            ("user end x end", ["", "end x"], [(1, 1), (1, 3)]),
+        ] {
+            assert_eq!(
+                t.match_and_extract(&tokenize(value)),
+                Some(params.map(str::to_owned).to_vec())
+            );
+            let mut ids = Vec::new();
+            interner.lookup_into(&tokenize(value), &mut ids);
+            let mut got = Vec::new();
+            assert!(interned.match_ranges(&ids, &mut got));
+            assert_eq!(got, ranges);
+        }
     }
 
     #[test]
@@ -739,12 +758,5 @@ mod tests {
         let b = template_from(&["select * from C where x = 1", "select * from D where x = 2"]);
         assert!(a.skeleton_similarity(&b) >= 0.5);
         assert_eq!(a.skeleton_similarity(&a), 1.0);
-    }
-
-    #[test]
-    fn template_lcs_counts_shared_consts() {
-        let t = template_from(&["select * from A", "select * from B"]);
-        assert_eq!(template_lcs(&t, &tokenize("select * from anything")), 3);
-        assert_eq!(template_lcs(&t, &tokenize("nothing shared")), 0);
     }
 }

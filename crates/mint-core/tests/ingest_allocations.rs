@@ -15,15 +15,17 @@
 //! * a sub-trace whose topology already exists allocates nothing in
 //!   `TraceParser::encode_parsed` and the library's probe;
 //! * what the spine keeps per buffered span is close to the span's wire
-//!   size, the unit the Params Buffer's budget is in.
+//!   size, the unit the Params Buffer's budget is in;
+//! * a long value that defeats the template matcher's greedy scan is
+//!   matched without allocating, on the first call of a fresh thread.
 //!
 //! mintbench measures the same count end to end (`allocs_per_span`,
 //! `peak_heap_mb`); this test is what fails first, and names the span.
 
 use mint_bloom::BloomFilter;
 use mint_core::{
-    MintConfig, MintDeployment, ParamsWriter, ParsedSpan, SamplingMode, SpanParser,
-    TopoPatternLibrary, TraceParser,
+    InternedTemplate, Interner, MintConfig, MintDeployment, PackedVars, ParamsWriter, ParsedSpan,
+    SamplingMode, SpanParser, StringTemplate, TopoPatternLibrary, TraceParser,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -239,5 +241,47 @@ fn a_sub_trace_of_a_known_topology_allocates_nothing() {
     assert!(
         checked * 10 >= sub_traces * 9,
         "only {checked} of {sub_traces} topologies were known"
+    );
+}
+
+#[test]
+fn a_value_that_defeats_the_greedy_matcher_allocates_nothing() {
+    // `get <*> now <*> end` against `get (now end) x 2047 end`: the greedy
+    // scan ends the second slot at the first `end` and fails, so the exact
+    // tier decides, over 4 096 tokens.
+    let template = StringTemplate::from_raw_tokens(&["get", "1", "now", "2", "end"]);
+    let mut value = vec!["get"];
+    for _ in 0..2047 {
+        value.extend(["now", "end"]);
+    }
+    value.push("end");
+    assert_eq!(value.len(), 4096);
+    // A fresh thread: no scratch a matcher may keep per thread has grown.
+    let allocations = std::thread::spawn(move || {
+        let mut interner = Interner::new();
+        let interned = InternedTemplate::from_template(&template, &mut interner);
+        let mut ids = Vec::new();
+        interner.lookup_into(&value, &mut ids);
+        let mut ranges = Vec::with_capacity(template.var_count());
+        // Room for the slot text, so only the matcher could allocate.
+        let mut vars = PackedVars::default();
+        vars.push_slot(&value);
+        vars.push_slot(&value);
+        vars.clear();
+        let (matched, string) =
+            allocations_of(|| template.match_and_pack(&value, &mut ranges, &mut vars));
+        assert!(matched);
+        assert_eq!(ranges, [(1, 1), (2, 4095)]);
+        let (matched, interned) = allocations_of(|| interned.match_ranges(&ids, &mut ranges));
+        assert!(matched);
+        assert_eq!(ranges, [(1, 1), (2, 4095)]);
+        (string, interned)
+    })
+    .join()
+    .expect("the matching thread panicked");
+    assert_eq!(
+        allocations,
+        (0, 0),
+        "(string, interned) matcher allocations"
     );
 }
