@@ -1,24 +1,25 @@
-//! Runs every experiment binary in sequence, producing the full set of tables
-//! and figures in one go (used to regenerate EXPERIMENTS.md).
+//! Runs every paper-figure binary in sequence, producing the full set of
+//! tables and figures in one go.
 //!
-//! The binaries are located next to this one in the build directory, so this
-//! must be invoked through `cargo run --bin run-all-experiments`.
+//! The binaries are located next to this one in the build directory, so build
+//! them first: `cargo build --release -p bench && cargo run --release --bin
+//! run_all_experiments`.
 
 use std::process::Command;
 
 const EXPERIMENTS: [&str; 12] = [
-    "exp-fig01-volume",
-    "exp-fig02-overhead",
-    "exp-fig03-missrate",
-    "exp-table1-commonality",
-    "exp-fig11-reduction",
-    "exp-fig12-hits",
-    "exp-table3-rca",
-    "exp-table4-compression",
-    "exp-fig14-loadtests",
-    "exp-fig15-latency",
-    "exp-table5-patterns",
-    "exp-fig16-sensitivity",
+    "exp_fig01_volume",
+    "exp_fig02_overhead",
+    "exp_fig03_missrate",
+    "exp_table1_commonality",
+    "exp_fig11_reduction",
+    "exp_fig12_hits",
+    "exp_table3_rca",
+    "exp_table4_compression",
+    "exp_fig14_loadtests",
+    "exp_fig15_latency",
+    "exp_table5_patterns",
+    "exp_fig16_sensitivity",
 ];
 
 fn main() {

@@ -1,9 +1,10 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Every table and figure of the paper has a dedicated binary under
-//! `src/bin/` (see DESIGN.md for the index).  The binaries share workload
-//! construction, framework instantiation and table formatting through this
-//! library so that each experiment reads like its description in the paper.
+//! `src/bin/` (README.md "Running the paper's experiments" lists them).  The
+//! binaries share workload construction, framework instantiation and table
+//! formatting through this library so that each experiment reads like its
+//! description in the paper.
 //!
 //! All experiments accept a scale factor through the `MINT_SCALE` environment
 //! variable (default 1.0 scales workload sizes that are already reduced from
@@ -12,14 +13,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ingest_json;
-pub mod query_json;
-
 use baselines::{Hindsight, MintFramework, OtFull, OtHead, OtTail, Sieve, TracingFramework};
 use mint_core::{MintConfig, SamplingMode};
-use rca::{label_anomalous, LabelledTrace, MicroRank, RcaCase, RcaMethod, TraceAnomaly, TraceRca};
-use trace_model::{TraceSet, TraceView};
-use workload::{FaultInjector, FaultType, TraceGenerator};
+use rca::{MicroRank, RcaMethod, TraceAnomaly, TraceRca};
 
 /// Scale and seed configuration shared by the experiment binaries.
 #[derive(Debug, Clone, Copy)]
@@ -130,18 +126,6 @@ pub fn all_frameworks() -> Vec<Box<dyn TracingFramework>> {
     ]
 }
 
-/// Instantiates the reduced framework set (everything except OT-Full), used
-/// where the paper only compares reduction approaches.
-pub fn reduction_frameworks() -> Vec<Box<dyn TracingFramework>> {
-    vec![
-        Box::new(OtHead::new(0.05)),
-        Box::new(OtTail::new()),
-        Box::new(Sieve::new(0.05)),
-        Box::new(Hindsight::new()),
-        Box::new(MintFramework::new(budgeted_mint_config())),
-    ]
-}
-
 /// The RCA methods of Table 3.
 pub fn rca_methods() -> Vec<Box<dyn RcaMethod>> {
     vec![
@@ -149,30 +133,6 @@ pub fn rca_methods() -> Vec<Box<dyn RcaMethod>> {
         Box::new(TraceAnomaly),
         Box::new(TraceRca::default()),
     ]
-}
-
-/// Runs one Table 3 fault case: injects `fault` at `target` into a fresh
-/// workload drawn from `generator`, processes it with `framework`, runs
-/// `method` over the framework's retained views and returns the RCA case.
-pub fn run_fault_case(
-    generator: &mut TraceGenerator,
-    requests: usize,
-    fault: FaultType,
-    target: &str,
-    fault_seed: u64,
-    framework: &mut dyn TracingFramework,
-    method: &dyn RcaMethod,
-) -> RcaCase {
-    let mut traces: TraceSet = generator.generate(requests);
-    let injector = FaultInjector::new(fault_seed);
-    injector.inject(&mut traces, fault, target);
-    framework.process(&traces);
-    let views: Vec<TraceView> = framework.analysis_views();
-    let labelled: Vec<LabelledTrace> = label_anomalous(&views);
-    RcaCase {
-        ground_truth: target.to_owned(),
-        ranking: method.rank(&labelled),
-    }
 }
 
 #[cfg(test)]
@@ -214,30 +174,6 @@ mod tests {
                 "Mint"
             ]
         );
-        assert_eq!(reduction_frameworks().len(), 5);
         assert_eq!(rca_methods().len(), 3);
-    }
-
-    #[test]
-    fn fault_case_pipeline_produces_a_ranking() {
-        use workload::{online_boutique, GeneratorConfig};
-        let mut generator = TraceGenerator::new(
-            online_boutique(),
-            GeneratorConfig::default()
-                .with_seed(5)
-                .with_abnormal_rate(0.0),
-        );
-        let mut mint = MintFramework::new(MintConfig::default());
-        let case = run_fault_case(
-            &mut generator,
-            120,
-            FaultType::ErrorReturn,
-            "paymentservice",
-            3,
-            &mut mint,
-            &MicroRank,
-        );
-        assert_eq!(case.ground_truth, "paymentservice");
-        assert!(!case.ranking.is_empty());
     }
 }

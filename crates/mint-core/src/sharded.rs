@@ -25,8 +25,8 @@
 //!    The merge is **incremental**: persistent intern tables and per-shard
 //!    watermarks make each merge `O(library + state new since the previous
 //!    merge)` instead of `O(total state)`, so repeated batches do not pay
-//!    for their predecessors ([`ShardedDeployment::last_merge_time`] exposes
-//!    the per-phase cost the `exp_sharding_loadtest` binary reports).
+//!    for their predecessors ([`ShardedDeployment::last_ingest_time`] and
+//!    [`ShardedDeployment::last_merge_time`] expose the per-phase cost).
 //!
 //! # Equivalence with the serial driver
 //!

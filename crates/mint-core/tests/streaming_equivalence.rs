@@ -290,7 +290,9 @@ fn query_fingerprint(
 /// *k + 1* must answer (generation 1 is the post-warm-up, pre-stream state
 /// published by `query_handle` itself).  Readers pin every distinct
 /// generation they see; each pinned snapshot is fingerprinted over the full
-/// query surface and matched against its boundary.
+/// query surface and matched against its boundary.  Readers only observe:
+/// the queried run's cost report equals that of the same stream with no
+/// handle alive.
 #[test]
 fn concurrent_queries_observe_only_epoch_boundary_states() {
     use std::collections::BTreeMap;
@@ -321,11 +323,17 @@ fn concurrent_queries_observe_only_epoch_boundary_states() {
     assert_eq!(boundaries.len(), epochs + 1);
 
     for shards in [2usize, 4] {
-        let mut streaming = StreamingDeployment::new(
-            base.clone()
-                .with_shard_count(shards)
-                .with_epoch_trace_count(epoch),
-        );
+        let config = base
+            .clone()
+            .with_shard_count(shards)
+            .with_epoch_trace_count(epoch);
+        // The same stream with no handle alive, so nothing is published:
+        // readers are observers, and the report must not move.
+        let mut quiet = StreamingDeployment::new(config.clone());
+        quiet.warm_up(&traces);
+        let quiet_report = quiet.process_stream(traces.iter().cloned());
+
+        let mut streaming = StreamingDeployment::new(config);
         streaming.warm_up(&traces);
         let handle = streaming.query_handle();
         assert_eq!(
@@ -360,8 +368,12 @@ fn concurrent_queries_observe_only_epoch_boundary_states() {
                 })
                 .collect();
 
-            streaming.process_stream(traces.iter().cloned());
+            let report = streaming.process_stream(traces.iter().cloned());
             done.store(true, Ordering::Release);
+            assert_eq!(
+                report, quiet_report,
+                "{shards} shard(s): concurrent readers changed the cost report"
+            );
 
             for reader in readers {
                 let pinned = reader.join().expect("reader thread panicked");

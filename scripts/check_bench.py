@@ -1,51 +1,18 @@
 #!/usr/bin/env python3
-"""Schema validator for the BENCH_*.json trajectory documents.
+"""Schema validator for the BENCH_chaos.json trajectory document.
 
-Usage: check_bench.py <ingest|query|chaos> <path> [--committed <path>]
+Usage: check_bench.py chaos <path>
 
-One validator replaces the three inline-Python checks CI used to carry, and
-runs against both the freshly generated smoke documents and the committed
-root trajectories (so a stale checked-in BENCH file fails CI).
+Runs against both the freshly generated smoke document and the committed
+root trajectory, so a stale checked-in BENCH file fails CI.
 
-With `--committed`, an ingest document is additionally held to a soft
-performance gate against the committed trajectory: the regenerated smoke
-profile's interned-LCS phase may not regress more than 25% in ns/span
-relative to the committed after-side.  Smoke timings are noisy, so the gate
-is deliberately loose — it exists to catch an accidental return to the
-string DP (a 3-6x swing), not 5% jitter.
-
-Every document is parsed with `parse_constant` set to fail: the JSON spec
-has no NaN/Infinity, and a bench writer that truncates or passes non-finite
+The document is parsed with `parse_constant` set to fail: the JSON spec has
+no NaN/Infinity, and a bench writer that truncates or passes non-finite
 floats through produced exactly that bug once (see lint rule L007).
 """
 
 import json
 import sys
-
-# The ingest profile's phase map is an interface: downstream tooling plots
-# these by name, so a renamed or dropped phase must fail loudly.
-INGEST_REQUIRED_PHASES = (
-    "tokenize",
-    "candidate_scan",
-    "lcs_similarity",
-    "lcs_interned",
-    "prefilter",
-    "extract",
-    "match_path",
-    "dispatch",
-)
-
-INGEST_PREFILTER_KEYS = (
-    "candidates_considered",
-    "candidates_skipped",
-    "lcs_calls",
-    "lcs_calls_avoided",
-    "skip_pct",
-)
-
-# Soft gate headroom: fresh lcs_similarity.after_ns_per_span may be at most
-# this multiple of the committed value.
-LCS_REGRESSION_LIMIT = 1.25
 
 
 def fail(message):
@@ -66,78 +33,10 @@ def load(path):
         fail(f"{path} is not valid JSON: {err}")
 
 
-def expect_schema(doc, path, want):
-    got = doc.get("schema")
-    if got != want:
-        fail(f"{path}: schema is {got!r}, expected {want!r}")
-
-
-def check_ingest(doc, path):
-    expect_schema(doc, path, "mint-ingest-v1")
-    phases = doc["profile"]["phases"]
-    if not phases:
-        fail(f"{path}: empty phase map")
-    for name in INGEST_REQUIRED_PHASES:
-        if name not in phases:
-            fail(f"{path}: phase map is missing {name!r}")
-    for name, phase in phases.items():
-        for key in ("before_ns_per_span", "after_ns_per_span", "reduction_pct"):
-            if key not in phase:
-                fail(f"{path}: phase {name!r} is missing {key!r}")
-    effect = doc["profile"].get("prefilter_effect")
-    if effect is None:
-        fail(f"{path}: profile is missing 'prefilter_effect'")
-    for key in INGEST_PREFILTER_KEYS:
-        if key not in effect:
-            fail(f"{path}: prefilter_effect is missing {key!r}")
-    if effect["candidates_skipped"] + effect["lcs_calls"] != effect["candidates_considered"]:
-        fail(
-            f"{path}: prefilter_effect does not balance "
-            f"(skipped {effect['candidates_skipped']} + lcs {effect['lcs_calls']} "
-            f"!= considered {effect['candidates_considered']})"
-        )
-    if "serial_ns_per_span" not in doc["profile"]["pipeline"]:
-        fail(f"{path}: pipeline is missing 'serial_ns_per_span'")
-    print(f"{path} OK: {len(phases)} phases")
-
-
-def gate_ingest_perf(doc, path, committed_path):
-    """Soft perf gate: fresh interned-LCS ns/span vs the committed trajectory."""
-    committed = load(committed_path)
-    fresh = doc["profile"]["phases"]["lcs_similarity"]["after_ns_per_span"]
-    baseline = committed["profile"]["phases"]["lcs_similarity"]["after_ns_per_span"]
-    if baseline <= 0:
-        fail(f"{committed_path}: non-positive committed lcs_similarity after_ns_per_span")
-    ratio = fresh / baseline
-    if ratio > LCS_REGRESSION_LIMIT:
-        fail(
-            f"{path}: lcs_similarity regressed to {fresh:.0f} ns/span, "
-            f"{ratio:.2f}x the committed {baseline:.0f} ns/span "
-            f"(limit {LCS_REGRESSION_LIMIT}x) — the interned kernel got slower"
-        )
-    print(
-        f"{path} perf gate OK: lcs_similarity {fresh:.0f} ns/span is "
-        f"{ratio:.2f}x the committed {baseline:.0f} ns/span"
-    )
-
-
-def check_query(doc, path):
-    expect_schema(doc, path, "mint-query-v1")
-    threads = doc["query_loadtest"]["threads"]
-    if not threads:
-        fail(f"{path}: empty thread map")
-    for count, entry in threads.items():
-        if not entry.get("query_p99_us", 0) > 0:
-            fail(f"{path}: threads={count} has non-positive query_p99_us")
-        if not entry.get("ingest_traces_per_s", 0) > 0:
-            fail(f"{path}: threads={count} has non-positive ingest_traces_per_s")
-    if not doc["query_loadtest"]["baseline"].get("ingest_traces_per_s", 0) > 0:
-        fail(f"{path}: baseline has non-positive ingest_traces_per_s")
-    print(f"{path} OK: {len(threads)} thread counts")
-
-
 def check_chaos(doc, path):
-    expect_schema(doc, path, "mint-chaos-v1")
+    got = doc.get("schema")
+    if got != "mint-chaos-v1":
+        fail(f"{path}: schema is {got!r}, expected 'mint-chaos-v1'")
     scenarios = doc["scenarios"]
     if not isinstance(scenarios, list) or not scenarios:
         fail(f"{path}: empty scenario list")
@@ -148,31 +47,16 @@ def check_chaos(doc, path):
     print(f"{path} OK: {len(scenarios)} scenarios")
 
 
-CHECKS = {"ingest": check_ingest, "query": check_query, "chaos": check_chaos}
-
-
 def main():
     args = sys.argv[1:]
-    committed = None
-    if "--committed" in args:
-        flag = args.index("--committed")
-        try:
-            committed = args[flag + 1]
-        except IndexError:
-            fail("--committed requires a path")
-        del args[flag : flag + 2]
-    if len(args) != 2 or args[0] not in CHECKS:
-        fail(f"usage: check_bench.py <{'|'.join(CHECKS)}> <path> [--committed <path>]")
-    kind, path = args
-    if committed is not None and kind != "ingest":
-        fail("--committed only applies to ingest documents")
+    if len(args) != 2 or args[0] != "chaos":
+        fail("usage: check_bench.py chaos <path>")
+    path = args[1]
     doc = load(path)
     try:
-        CHECKS[kind](doc, path)
-        if committed is not None:
-            gate_ingest_perf(doc, path, committed)
+        check_chaos(doc, path)
     except (KeyError, TypeError, AttributeError) as err:
-        fail(f"{path}: malformed {kind} document ({err!r})")
+        fail(f"{path}: malformed chaos document ({err!r})")
 
 
 if __name__ == "__main__":
