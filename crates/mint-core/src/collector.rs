@@ -314,10 +314,10 @@ impl MintDeployment {
     /// Warms up the per-service span parsers from `traces` (§3.2.1).
     ///
     /// [`MintDeployment::process`] calls this automatically before the first
-    /// batch.  It is public so a [`ShardedDeployment`](crate::ShardedDeployment)
+    /// batch.  It is public so a [`StreamingDeployment`](crate::StreamingDeployment)
     /// can warm one deployment on the *full* batch and clone the resulting
     /// agents into every shard — the exact warm-up a serial deployment
-    /// performs, which is what makes the sharded pipeline equivalent to the
+    /// performs, which is what makes the streaming pipeline equivalent to the
     /// serial one.
     pub fn warm_up(&mut self, traces: &TraceSet) {
         self.warmed_up = true;
@@ -342,7 +342,7 @@ impl MintDeployment {
     /// Ingests a single trace: updates the workload counters and runs the
     /// full agent → collector → backend path for it.  Unlike
     /// [`MintDeployment::process`] this performs no warm-up and no end-of-batch
-    /// flush; sharded workers drive it directly.
+    /// flush; streaming shard workers drive it directly.
     ///
     /// The trace is split by service as a borrowed view (span indices in
     /// `groups`), in the lexicographic service order of

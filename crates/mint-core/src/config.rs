@@ -58,8 +58,8 @@ pub struct MintConfig {
     pub sampling_mode: SamplingMode,
     /// Head-sampling rate used when [`SamplingMode::Head`] is selected.
     pub head_sampling_rate: f64,
-    /// Number of ingest shards a [`ShardedDeployment`](crate::ShardedDeployment)
-    /// partitions traces across (1 = serial-equivalent single worker).
+    /// Number of shard workers a [`StreamingDeployment`](crate::StreamingDeployment)
+    /// routes traces across (1 = serial-equivalent single worker).
     pub shard_count: usize,
     /// Number of traces a [`StreamingDeployment`](crate::StreamingDeployment)
     /// accepts between epoch boundaries, i.e. between incremental merges of

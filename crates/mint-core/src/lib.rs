@@ -59,6 +59,7 @@ mod lcs;
 mod merge;
 mod params;
 mod samplers;
+#[cfg(test)]
 mod sharded;
 mod snapshot;
 pub mod span_parser;
@@ -86,7 +87,6 @@ pub use params::{
     SpanParams, SpanRecord, SpanRecords, TraceParams,
 };
 pub use samplers::{EdgeCaseSampler, HeadSampler, SamplerDecision, SymptomSampler};
-pub use sharded::{shard_of, ShardedDeployment};
 pub use snapshot::{BackendSnapshot, QueryHandle};
 pub use span_parser::{
     AttrPattern, NumericBucketer, ParseScratch, PatternCatalog, SpanParser, SpanPattern,

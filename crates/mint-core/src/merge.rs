@@ -1,7 +1,7 @@
 //! Incremental, content-addressed merging of per-shard Mint state into one
-//! canonical queryable backend — the machinery shared by
-//! [`ShardedDeployment`](crate::ShardedDeployment) (batch) and
-//! [`StreamingDeployment`](crate::StreamingDeployment) (epoch-based).
+//! canonical queryable backend — the reconcile that
+//! [`StreamingDeployment`](crate::StreamingDeployment) runs at every epoch
+//! boundary (once per batch when the whole batch is one epoch).
 //!
 //! # Why incremental
 //!
@@ -791,9 +791,9 @@ mod tests {
     }
 
     /// Ingests `traces` into `partitions.max()+1` shard deployments (all
-    /// warmed on the full set, as the sharded/streaming drivers do) routed by
-    /// the *arbitrary* `partitions` assignment, reconciling after every
-    /// `chunk`-sized prefix, and returns the merger.
+    /// warmed on the full set, as `StreamingDeployment::process` does)
+    /// routed by the *arbitrary* `partitions` assignment, reconciling after
+    /// every `chunk`-sized prefix, and returns the merger.
     fn merge_partitioned(
         traces: &TraceSet,
         partitions: &[usize],

@@ -26,10 +26,12 @@
 //!   is queryable while the stream keeps running
 //! ```
 //!
-//! Unlike [`ShardedDeployment`](crate::ShardedDeployment) there is no
-//! pre-materialized [`TraceSet`]: the source is consumed trace by trace and
-//! peak memory is bounded by `shards × queue depth` in-flight traces plus
-//! the (converging) pattern state.
+//! There is no pre-materialized [`TraceSet`]: the source is consumed trace
+//! by trace and peak memory is bounded by `shards × queue depth` in-flight
+//! traces plus the (converging) pattern state.  A whole batch in one epoch
+//! (`epoch_trace_count = usize::MAX` with [`StreamingDeployment::process`])
+//! is the batch-sharded case: warm on the full batch, route, ingest per
+//! shard, reconcile once.
 //!
 //! # Equivalence with the serial driver
 //!
@@ -57,15 +59,12 @@
 use crate::collector::{batch_duration_s, DeploymentReport, MintCollector, MintDeployment};
 use crate::config::MintConfig;
 use crate::merge::{IncrementalMerger, MergeStats};
-use crate::sharded::{shard_of, worker_panic_message};
 use crate::snapshot::QueryHandle;
 use crate::MintBackend;
+use std::any::Any;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use trace_model::{Trace, TraceSet};
-
-#[cfg(test)]
-use crate::sharded::trigger_test_panic;
+use trace_model::{Trace, TraceId, TraceSet};
 
 /// What the driver did at one epoch boundary (or at the end-of-stream
 /// reconcile, flagged by [`EpochStats::end_of_stream`]).
@@ -97,6 +96,52 @@ enum ShardMsg {
     /// Epoch barrier: hand the deployment to the coordinator and block
     /// until it comes back.
     EpochEnd,
+}
+
+/// Deterministic trace → shard routing: a finalizer-style hash of the trace
+/// id reduced modulo the shard count, so the same trace always lands on the
+/// same shard regardless of batch composition.
+fn shard_of(trace_id: TraceId, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    let x = trace_id.as_u128();
+    let mut h = (x as u64) ^ ((x >> 64) as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    (h % shards as u64) as usize
+}
+
+/// Extracts the human-readable message from a worker thread's panic payload
+/// (the `Err` of a `JoinHandle::join`).  `panic!` with a literal carries a
+/// `&'static str`; `panic!` with formatting carries a `String`; anything
+/// else (a custom `panic_any` payload) gets a placeholder.
+pub(crate) fn worker_panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(message) = payload.downcast_ref::<&'static str>() {
+        message
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message
+    } else {
+        "<non-string panic payload>"
+    }
+}
+
+/// Test-only fail point: a trace whose root span carries a
+/// `mint_test_panic` attribute makes the ingesting worker panic with the
+/// attribute's value.  Keying the fault off the trace itself (rather than
+/// global state) keeps parallel tests race-free.
+#[cfg(test)]
+fn trigger_test_panic(trace: &Trace) {
+    if let Some(message) = trace
+        .root()
+        .and_then(|root| root.attributes().get("mint_test_panic"))
+        .and_then(|value| value.as_str())
+    {
+        panic!("{}", message.to_owned());
+    }
 }
 
 /// How many [`EpochStats`] entries are retained (the oldest are dropped
@@ -216,11 +261,12 @@ impl StreamingDeployment {
     }
 
     /// Processes a pre-materialized batch with serial warm-up semantics:
-    /// warms on the full batch (first call only), then streams it through
-    /// the epoch pipeline.  Drop-in equivalent of
-    /// [`MintDeployment::process`] / [`ShardedDeployment::process`](crate::ShardedDeployment::process).
+    /// warms on the full batch (first non-empty call only), then streams it
+    /// through the epoch pipeline.  Drop-in equivalent of
+    /// [`MintDeployment::process`].
     pub fn process(&mut self, traces: &TraceSet) -> DeploymentReport {
-        if !self.warmed_up {
+        // An empty batch must not lock in an empty warm-up sample.
+        if !self.warmed_up && !traces.is_empty() {
             self.warm_up(traces);
         }
         self.process_stream(traces.iter().cloned())
@@ -511,6 +557,20 @@ mod tests {
     }
 
     #[test]
+    fn routing_is_deterministic_and_covers_all_shards() {
+        let traces = workload(400);
+        let mut hits = vec![0usize; 8];
+        for trace in &traces {
+            let a = shard_of(trace.trace_id(), 8);
+            let b = shard_of(trace.trace_id(), 8);
+            assert_eq!(a, b);
+            hits[a] += 1;
+        }
+        assert!(hits.iter().all(|&h| h > 10), "unbalanced shards: {hits:?}");
+        assert_eq!(shard_of(TraceId::from_u128(99), 1), 0);
+    }
+
+    #[test]
     fn streams_everything_and_answers_queries() {
         let traces = workload(300);
         let config = MintConfig::default()
@@ -612,6 +672,40 @@ mod tests {
         for trace in &traces {
             assert!(!streaming.backend().query(trace.trace_id()).is_miss());
         }
+    }
+
+    #[test]
+    fn empty_batch_does_not_lock_in_an_empty_warm_up() {
+        let traces = workload(200);
+        let config = MintConfig::default()
+            .with_shard_count(2)
+            .with_epoch_trace_count(64)
+            .with_sampling_mode(SamplingMode::AbnormalTag);
+        let serial = MintDeployment::new(config.clone()).process(&traces);
+        let mut streaming = StreamingDeployment::new(config);
+        let empty = streaming.process(&TraceSet::default());
+        assert_eq!((empty.traces, empty.duration_s), (0, 0));
+        // The later real batch must warm on itself, exactly like serial.
+        assert_eq!(streaming.process(&traces), serial);
+    }
+
+    #[test]
+    fn query_handle_tracks_batch_reconciles() {
+        // One epoch per batch: the whole batch lands in one reconcile, which
+        // publishes one generation.
+        let traces = workload(60);
+        let mut streaming = StreamingDeployment::new(
+            MintConfig::default()
+                .with_shard_count(2)
+                .with_epoch_trace_count(usize::MAX),
+        );
+        let handle = streaming.query_handle();
+        assert_eq!(handle.generation(), 1);
+        assert!(traces.iter().all(|t| handle.query(t.trace_id()).is_miss()));
+        streaming.process(&traces);
+        assert_eq!(streaming.epoch_stats().len(), 1);
+        assert_eq!(handle.generation(), 2);
+        assert!(traces.iter().all(|t| !handle.query(t.trace_id()).is_miss()));
     }
 
     #[test]

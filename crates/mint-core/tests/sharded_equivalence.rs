@@ -1,5 +1,6 @@
-//! Sharded-vs-serial equivalence: a [`ShardedDeployment`] with 1, 2 or 8
-//! shards must produce the same cumulative cost report and the same
+//! Sharded-vs-serial equivalence: a [`StreamingDeployment`] whose one epoch
+//! holds the whole batch (`epoch_trace_count = usize::MAX`), run with 1, 2
+//! or 8 shards, must produce the same cumulative cost report and the same
 //! per-trace backend query results as the serial [`MintDeployment`] on a
 //! fixed-seed workload.
 //!
@@ -11,7 +12,7 @@
 //! accounting, full queryability and a sane sampled fraction.
 
 use mint_core::{
-    ApproximateTrace, MintConfig, MintDeployment, QueryResult, SamplingMode, ShardedDeployment,
+    ApproximateTrace, MintConfig, MintDeployment, QueryResult, SamplingMode, StreamingDeployment,
 };
 use trace_model::TraceSet;
 use workload::{online_boutique, GeneratorConfig, TraceGenerator};
@@ -26,6 +27,15 @@ fn fixed_workload() -> TraceSet {
             .with_abnormal_rate(0.05),
     )
     .generate(600)
+}
+
+/// A deployment that reconciles once per `process` call.
+fn whole_batch(config: MintConfig, shards: usize) -> StreamingDeployment {
+    StreamingDeployment::new(
+        config
+            .with_shard_count(shards)
+            .with_epoch_trace_count(usize::MAX),
+    )
 }
 
 /// Flattens an approximate trace into a sortable, id-free representation so
@@ -51,7 +61,7 @@ fn approx_key(approx: &ApproximateTrace) -> (usize, Vec<(String, String, String,
 fn assert_queries_match(
     traces: &TraceSet,
     serial: &MintDeployment,
-    sharded: &ShardedDeployment,
+    sharded: &StreamingDeployment,
     context: &str,
 ) {
     for trace in traces {
@@ -86,12 +96,13 @@ fn run_equivalence(mode: SamplingMode) {
 
     for shards in SHARD_COUNTS {
         let context = format!("mode {mode:?}, {shards} shard(s)");
-        let mut sharded = ShardedDeployment::new(base.clone().with_shard_count(shards));
+        let mut sharded = whole_batch(base.clone(), shards);
         let sharded_report = sharded.process(&traces);
         assert_eq!(
             serial_report, sharded_report,
             "{context}: cost report diverged from serial"
         );
+        assert_eq!(sharded.epoch_stats().len(), 1, "{context}: not one epoch");
         assert_queries_match(&traces, &serial, &sharded, &context);
     }
 }
@@ -126,7 +137,7 @@ fn equivalent_across_repeated_batches() {
     let serial_report = serial.process(&traces);
 
     for shards in [2usize, 8] {
-        let mut sharded = ShardedDeployment::new(base.clone().with_shard_count(shards));
+        let mut sharded = whole_batch(base.clone(), shards);
         sharded.process(&traces);
         let sharded_report = sharded.process(&traces);
         assert_eq!(
@@ -145,7 +156,7 @@ fn mint_biased_mode_stays_queryable_and_bounded() {
     let serial_report = serial.process(&traces);
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedDeployment::new(base.clone().with_shard_count(shards));
+        let mut sharded = whole_batch(base.clone(), shards);
         let report = sharded.process(&traces);
         // Workload accounting is partition-invariant even when sampler
         // history is not.

@@ -1,14 +1,14 @@
-//! Differential fuzzing of the three ingest drivers: proptest-generated
-//! trace batches are driven through the serial [`MintDeployment`], the
-//! batch-sharded [`ShardedDeployment`] and the epoch-based
-//! [`StreamingDeployment`], and the suite asserts **identical**
+//! Differential fuzzing of the two ingest drivers: proptest-generated trace
+//! batches are driven through the serial [`MintDeployment`] and the
+//! epoch-based [`StreamingDeployment`], and the suite asserts **identical**
 //! [`DeploymentReport`]s and per-trace query results for every sampling mode
 //! whose per-trace decision is a pure function of the trace (`All`, `None`,
 //! `Head`, `AbnormalTag`), across shard counts {1, 2, 8} and epoch sizes
-//! {1, 7, 64}.
+//! {1, 7, 64, whole batch}.  The whole-batch arm (one epoch) is the
+//! batch-sharded case.
 //!
 //! The serial driver is the oracle: whatever it reports and answers, the
-//! parallel drivers must reproduce byte for byte.  `MintBiased` keeps
+//! parallel driver must reproduce byte for byte.  `MintBiased` keeps
 //! per-shard sampler history, so for it the suite asserts the softer
 //! production guarantees (exact workload accounting, full queryability,
 //! bounded sampling rate) — the documented equivalence boundary.
@@ -18,14 +18,17 @@
 
 use mint_core::{
     ApproximateTrace, DeploymentReport, MintConfig, MintDeployment, QueryResult, SamplingMode,
-    ShardedDeployment, StreamingDeployment,
+    StreamingDeployment,
 };
 use proptest::prelude::*;
 use trace_model::TraceSet;
 use workload::{online_boutique, GeneratorConfig, TraceGenerator};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-const EPOCH_SIZES: [usize; 3] = [1, 7, 64];
+/// `usize::MAX` puts the whole batch in one epoch: warm on the full batch,
+/// route, ingest per shard, reconcile once.
+const WHOLE_BATCH: usize = usize::MAX;
+const EPOCH_SIZES: [usize; 4] = [1, 7, 64, WHOLE_BATCH];
 
 fn scale() -> f64 {
     std::env::var("MINT_SCALE")
@@ -98,8 +101,9 @@ fn assert_queries_match(
     }
 }
 
-/// Drives one generated batch through all three drivers under `mode` and
-/// asserts serial equality everywhere.
+/// Drives one generated batch through both drivers under `mode`, the
+/// streaming one at every shard count and epoch size, and asserts
+/// serial equality everywhere.
 fn differential_case(seed: u64, n: usize, abnormal: f64, mode: SamplingMode) {
     let traces = workload(seed, n, abnormal);
     let base = MintConfig::default().with_sampling_mode(mode);
@@ -108,15 +112,6 @@ fn differential_case(seed: u64, n: usize, abnormal: f64, mode: SamplingMode) {
     let serial_report: DeploymentReport = serial.process(&traces);
 
     for shards in SHARD_COUNTS {
-        let context = format!("mode {mode:?}, seed {seed}, {shards} shard(s), batch-sharded");
-        let mut sharded = ShardedDeployment::new(base.clone().with_shard_count(shards));
-        let sharded_report = sharded.process(&traces);
-        assert_eq!(
-            serial_report, sharded_report,
-            "{context}: cost report diverged from serial"
-        );
-        assert_queries_match(&traces, &serial, sharded.backend(), &context);
-
         for epoch in EPOCH_SIZES {
             let context =
                 format!("mode {mode:?}, seed {seed}, {shards} shard(s), epoch {epoch}, streaming");
@@ -136,6 +131,9 @@ fn differential_case(seed: u64, n: usize, abnormal: f64, mode: SamplingMode) {
                 0,
                 "{context}: warm-up-covered workload should never drift"
             );
+            if epoch == WHOLE_BATCH {
+                assert_eq!(streaming.epoch_stats().len(), 1, "{context}: not one epoch");
+            }
         }
     }
 }
@@ -192,25 +190,26 @@ fn repeated_streams_match_repeated_serial_batches() {
     serial.process(&traces);
     let serial_report = serial.process(&traces);
 
-    for shards in [2usize, 8] {
+    for (shards, epoch) in [
+        (2usize, 13usize),
+        (8, 13),
+        (2, WHOLE_BATCH),
+        (8, WHOLE_BATCH),
+    ] {
+        let context = format!("{shards} shard(s), epoch {epoch}, repeated streams");
         let mut streaming = StreamingDeployment::new(
             base.clone()
                 .with_shard_count(shards)
-                .with_epoch_trace_count(13),
+                .with_epoch_trace_count(epoch),
         );
         streaming.process(&traces);
         let epochs_after_first = streaming.epoch_stats().len();
         let streaming_report = streaming.process(&traces);
         assert_eq!(
             serial_report, streaming_report,
-            "{shards} shard(s): second-stream report diverged"
+            "{context}: second-stream report diverged"
         );
-        assert_queries_match(
-            &traces,
-            &serial,
-            streaming.backend(),
-            &format!("{shards} shard(s), repeated streams"),
-        );
+        assert_queries_match(&traces, &serial, streaming.backend(), &context);
         // The second stream replays known patterns only.
         let second_stream_interned: usize = streaming.epoch_stats()[epochs_after_first..]
             .iter()
@@ -218,8 +217,9 @@ fn repeated_streams_match_repeated_serial_batches() {
             .sum();
         assert_eq!(
             second_stream_interned, 0,
-            "{shards} shard(s): second stream re-interned patterns"
+            "{context}: second stream re-interned patterns"
         );
+        assert_eq!(streaming.merge_full_rebuilds(), 0, "{context}: rebuilt");
     }
 }
 
@@ -234,30 +234,31 @@ fn mint_biased_streaming_stays_queryable_and_bounded() {
     let mut serial = MintDeployment::new(base.clone());
     let serial_report = serial.process(&traces);
 
-    for shards in SHARD_COUNTS {
+    for (shards, epoch) in SHARD_COUNTS
+        .into_iter()
+        .flat_map(|shards| [(shards, 32), (shards, WHOLE_BATCH)])
+    {
         let mut streaming = StreamingDeployment::new(
             base.clone()
                 .with_shard_count(shards)
-                .with_epoch_trace_count(32),
+                .with_epoch_trace_count(epoch),
         );
+        let context = format!("{shards} shard(s), epoch {epoch}");
         let report = streaming.process(&traces);
         assert_eq!(report.traces, serial_report.traces);
         assert_eq!(report.spans, serial_report.spans);
         assert_eq!(report.raw_trace_bytes, serial_report.raw_trace_bytes);
         assert_eq!(report.duration_s, serial_report.duration_s);
-        assert!(
-            report.sampled_traces > 0,
-            "{shards} shard(s): nothing sampled"
-        );
+        assert!(report.sampled_traces > 0, "{context}: nothing sampled");
         assert!(
             report.sampling_rate() < 0.8,
-            "{shards} shard(s): rate {}",
+            "{context}: rate {}",
             report.sampling_rate()
         );
         for trace in &traces {
             assert!(
                 !streaming.backend().query(trace.trace_id()).is_miss(),
-                "{shards} shard(s): miss for {}",
+                "{context}: miss for {}",
                 trace.trace_id()
             );
         }
@@ -448,9 +449,10 @@ fn exact_multiple_stream_matches_serial_without_a_tail_epoch() {
 /// Chaos-laden streams obey the same serial-equivalence oracle.  The timed
 /// in-flight perturbation is a pure function of `(scenario, trace)` — every
 /// injector draw is keyed on the trace id — so a materialized chaos stream
-/// and a freshly re-streamed one are the same workload, and the three
-/// drivers must agree byte for byte on it under every deterministic
-/// sampling mode, with identical ground truth on both passes.
+/// and a freshly re-streamed one are the same workload, and the serial
+/// driver, the whole-batch arm and the epoch-streamed arms must agree byte
+/// for byte on it under every deterministic sampling mode, with identical
+/// ground truth on both passes.
 #[test]
 fn chaos_stream_differential_across_drivers() {
     use workload::{ChaosScenario, ChaosSource, FaultType, FaultWindow, StreamingSource};
@@ -507,14 +509,19 @@ fn chaos_stream_differential_across_drivers() {
         let serial_report = serial.process(&traces);
 
         for shards in [1usize, 4] {
-            let context = format!("chaos, mode {mode:?}, {shards} shard(s), batch-sharded");
-            let mut sharded = ShardedDeployment::new(base.clone().with_shard_count(shards));
-            let sharded_report = sharded.process(&traces);
+            let context = format!("chaos, mode {mode:?}, {shards} shard(s), whole batch");
+            let mut whole = StreamingDeployment::new(
+                base.clone()
+                    .with_shard_count(shards)
+                    .with_epoch_trace_count(WHOLE_BATCH),
+            );
+            let whole_report = whole.process(&traces);
             assert_eq!(
-                serial_report, sharded_report,
+                serial_report, whole_report,
                 "{context}: cost report diverged from serial"
             );
-            assert_queries_match(&traces, &serial, sharded.backend(), &context);
+            assert_eq!(whole.epoch_stats().len(), 1, "{context}: not one epoch");
+            assert_queries_match(&traces, &serial, whole.backend(), &context);
 
             for epoch in [7usize, 64] {
                 let context =
