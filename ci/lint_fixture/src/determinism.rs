@@ -1,4 +1,6 @@
-//! Ambient time and entropy in a deterministic module (L005).
+//! Ambient time in a deterministic module.
+
+#![deny(clippy::disallowed_methods)]
 
 use std::time::Instant;
 

@@ -1,4 +1,6 @@
-//! A lock on the publication path (L006).
+//! A lock on the publication path.
+
+#![deny(clippy::disallowed_types)]
 
 use std::sync::Mutex;
 

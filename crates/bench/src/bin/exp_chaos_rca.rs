@@ -166,7 +166,7 @@ fn render_json(cfg: &ExpConfig, smoke: bool, results: &[ScenarioResult]) -> Stri
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"mint-chaos-v1\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", cfg.scale));
+    out.push_str(&format!("  \"scale\": {},\n", json_f64(cfg.scale)));
     out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str("  \"scenarios\": [\n");
@@ -301,7 +301,6 @@ fn main() {
                 if fault.is_latency_fault() {
                     assert!(
                         mint_capture >= head_capture,
-                        // mint-lint: allow(L007) — human-facing panic message, not part of the JSON document
                         "{name}: biased capture {mint_capture:.3} fell below the \
                          head-sampling baseline {head_capture:.3}"
                     );
@@ -411,4 +410,68 @@ fn main() {
     std::fs::write(&out_path, render_json(&cfg, smoke, &results))
         .unwrap_or_else(|e| panic!("failed to write {out_path}: {e}"));
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scenario(mint_capture: f64, head_capture: f64) -> ScenarioResult {
+        ScenarioResult {
+            name: "s".to_owned(),
+            app: "app",
+            fault: FaultType::NetworkDelay,
+            target: "svc".to_owned(),
+            load: Load::Quiet,
+            requests: 1,
+            window_start_us: 0,
+            window_duration_us: 1,
+            eligible: 0,
+            affected: 0,
+            mint_capture,
+            head_capture,
+            epochs_observed: 1,
+            rca: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_written_as_null() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(json_f64(value), "null");
+        }
+        let cfg = ExpConfig {
+            scale: f64::INFINITY,
+            seed: 1,
+        };
+        let results = [
+            scenario(f64::NAN, f64::INFINITY),
+            scenario(f64::NEG_INFINITY, 0.5),
+        ];
+        let json = render_json(&cfg, true, &results);
+        assert!(json.contains("\"scale\": null,"), "{json}");
+        assert_eq!(json.matches("_capture_rate\": null,").count(), 3, "{json}");
+        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+    }
+
+    #[test]
+    fn finite_values_parse_back_bit_exact() {
+        let sum = 0.1 + 0.2;
+        let written = json_f64(sum);
+        assert_eq!(written, "0.30000000000000004");
+        let read: f64 = written.parse().expect("a JSON number");
+        assert_eq!(read.to_bits(), sum.to_bits());
+        let json = render_json(
+            &ExpConfig {
+                scale: 1.0,
+                seed: 1,
+            },
+            true,
+            &[scenario(sum, 1.0)],
+        );
+        assert!(
+            json.contains("\"mint_capture_rate\": 0.30000000000000004,"),
+            "{json}"
+        );
+    }
 }

@@ -1,6 +1,8 @@
 //! The Mint backend: stores uploaded patterns, Bloom filters and parameters,
 //! and answers trace queries (§4.3).
 
+#![deny(clippy::disallowed_types)]
+
 use crate::cost::StorageCost;
 use crate::params::ParamBlock;
 use crate::span_parser::PatternCatalog;

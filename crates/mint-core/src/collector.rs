@@ -371,7 +371,8 @@ impl MintDeployment {
         let views = self.groups.split(trace);
         let mut span_bytes = 0;
         let mut touched_nodes = 0;
-        // mint-lint: allow(L004) — clones the view iterator (a cursor over `groups`), not a span: the second pass below re-walks the same split
+        // Clones the view iterator (a cursor over `groups`), not a span: the
+        // second pass below re-walks the same split.
         for view in views.clone() {
             let node = view.node();
             let agent = match self.agents.get_mut(node) {

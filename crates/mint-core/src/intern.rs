@@ -133,7 +133,6 @@ impl Interner {
 
     /// Returns the id of `token`, or [`UNKNOWN_ID`] if it is not part of the
     /// template vocabulary.
-    // mint-lint: hot
     pub fn lookup(&self, token: &str) -> u32 {
         match self.map.get(token) {
             Some(&id) => id,
@@ -143,7 +142,6 @@ impl Interner {
 
     /// Maps `tokens` to ids, appending into `out` (cleared first) — the
     /// allocation-free per-value entry point of the ingest path.
-    // mint-lint: hot
     pub fn lookup_into<S: AsRef<str>>(&self, tokens: &[S], out: &mut Vec<u32>) {
         out.clear();
         out.reserve(tokens.len());
@@ -169,7 +167,6 @@ fn fingerprint_bit(id: u32) -> u128 {
 /// Token-bag fingerprint of an interned value: one bit per *known* symbol
 /// kind, plus the count of out-of-vocabulary tokens (kept out of the bitset
 /// so an unknown token can never mask a template constant's missing bit).
-// mint-lint: hot
 pub fn value_fingerprint(ids: &[u32]) -> (u128, u32) {
     let mut fp = 0u128;
     let mut unknown = 0u32;
@@ -320,7 +317,6 @@ impl InternedTemplate {
     /// Similarity to the value loaded in `table` (the paper's
     /// `|LCS| / max(len_a, len_b)`), computed with the bit-parallel kernel.
     /// Score-identical to `StringTemplate::similarity_to` on the same value.
-    // mint-lint: hot
     pub fn similarity_with(&self, table: &mut TokenMaskTable) -> f64 {
         let denom = self.ids.len().max(table.value_len());
         if denom == 0 {
@@ -350,7 +346,6 @@ impl InternedTemplate {
     /// LCS, a candidate whose true similarity meets the threshold is always
     /// admitted — skipping can therefore never change which template wins
     /// (see `StringAttributeParser::best_match_interned`).
-    // mint-lint: hot
     pub fn prefilter_admits(
         &self,
         value_len: usize,
@@ -379,7 +374,6 @@ impl InternedTemplate {
     /// Runs the string form's slot matcher (`match_slots`) on ids, so both
     /// forms give the same verdict and the same ranges, adjacent-slot
     /// convention included.
-    // mint-lint: hot
     pub fn match_ranges(&self, ids: &[u32], ranges: &mut Vec<(u32, u32)>) -> bool {
         let template = &self.ids;
         match_slots(
@@ -435,7 +429,6 @@ impl InternedPrefixIndex {
     /// Candidate template ids for a value whose first token interned to
     /// `first` — bucket members first (insertion order), then every template
     /// that starts with a variable slot.
-    // mint-lint: hot
     pub fn candidates_into(&self, first: Option<u32>, out: &mut Vec<usize>) {
         out.clear();
         if let Some(first) = first {

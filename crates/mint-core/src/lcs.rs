@@ -96,7 +96,6 @@ pub fn tokenize_borrowed(value: &str) -> Vec<&str> {
 
 /// Appends the tokens of `value` to `out` (cleared first).  The fully
 /// allocation-free entry point for callers that hold a reusable buffer.
-// mint-lint: hot
 pub fn tokenize_into<'a>(value: &'a str, out: &mut Vec<&'a str>) {
     out.clear();
     for_each_token(value, |start, end| out.push(&value[start..end]));
@@ -205,7 +204,6 @@ impl TokenSeq for RangeTokens<'_> {
 /// thread-local scratch rows (no per-call allocation).  Generic over the two
 /// item types so borrowed tokens compare against owned ones without cloning
 /// (`&str` vs `String`, `String` vs `String`, …).
-// mint-lint: hot
 pub fn lcs_length<A, B>(a: &[A], b: &[B]) -> usize
 where
     A: PartialEq<B>,
@@ -231,7 +229,6 @@ where
 /// The paper's similarity measure over already-tokenized strings:
 /// `|LCS| / max(len_a, len_b)`.  Two empty sequences are fully similar.
 /// Generic over borrowed/owned token mixes like [`lcs_length`].
-// mint-lint: hot
 pub fn similarity<A, B>(a: &[A], b: &[B]) -> f64
 where
     A: PartialEq<B>,
@@ -296,7 +293,6 @@ impl TokenMaskTable {
     /// Loads an interned value: builds one position mask per distinct known
     /// symbol id.  `vocab` must cover every non-reserved id (use
     /// `Interner::vocab_size`); ids at or beyond it are treated as unknown.
-    // mint-lint: hot
     pub fn build(&mut self, ids: &[u32], vocab: usize) {
         let m = ids.len();
         self.value_len = m;
@@ -338,7 +334,6 @@ impl TokenMaskTable {
     /// Length of the LCS between `template_ids` and the loaded value, where
     /// [`WILDCARD_ID`] matches any single token.  `LLCS = m − popcount(V)`
     /// after running the recurrence over the template's tokens.
-    // mint-lint: hot
     pub fn llcs(&mut self, template_ids: &[u32]) -> usize {
         let m = self.value_len;
         if m == 0 || template_ids.is_empty() {
@@ -373,7 +368,6 @@ impl TokenMaskTable {
 /// Ids are opaque symbols here (no wildcard semantics); callers must ensure
 /// distinct tokens map to distinct ids.  Result-identical to [`lcs_length`]
 /// on the corresponding token sequences.
-// mint-lint: hot
 pub fn lcs_length_ids(a: &[u32], b: &[u32]) -> usize {
     let m = a.len();
     if m == 0 || b.is_empty() {
@@ -418,7 +412,6 @@ pub fn lcs_length_ids(a: &[u32], b: &[u32]) -> usize {
 /// The paper's similarity measure over interned token sequences:
 /// `|LCS| / max(len_a, len_b)`.  Result-identical to [`similarity`] on the
 /// corresponding token sequences.
-// mint-lint: hot
 pub fn similarity_ids(a: &[u32], b: &[u32]) -> f64 {
     let denom = a.len().max(b.len());
     if denom == 0 {

@@ -73,6 +73,8 @@
 //! partitions yields the same canonical catalog as interning it whole — is
 //! asserted by the property tests at the bottom of this module.
 
+#![deny(clippy::disallowed_methods)]
+
 use crate::agent::MintAgent;
 use crate::backend::MintBackend;
 use crate::collector::{MintCollector, MintDeployment};
@@ -169,7 +171,7 @@ impl CanonicalNode {
                 // Closed-form parsers are static once created: the first
                 // shard to show a key decides, for bucketer and size alike.
                 AttributeParser::Numeric(bucketer) if !self.bucketers.contains_key(key) => {
-                    // mint-lint: allow(L004) — first sight of a numeric key on this node, once per (node, key)
+                    // First sight of a numeric key on this node, once per (node, key).
                     Arc::make_mut(&mut self.bucketers).insert(key.to_owned(), *bucketer);
                     self.stale = true;
                 }
@@ -178,7 +180,7 @@ impl CanonicalNode {
             if !matches!(attribute, AttributeParser::Strings(_))
                 && !self.scalar_sizes.contains_key(key)
             {
-                // mint-lint: allow(L004) — first sight of a closed-form key on this node, once per (node, key)
+                // First sight of a closed-form key on this node, once per (node, key).
                 let key = key.to_owned();
                 self.scalar_sizes.insert(key, attribute.stored_size());
             }
@@ -552,7 +554,10 @@ impl IncrementalMerger {
             for ((node, local_id), blooms) in shard.backend.blooms() {
                 let index = self.nodes.find(node);
                 let found = index.and_then(|index| Some((index, marks.get_mut(index)?)));
-                // mint-lint: allow(L003) — step 1 interned marks for every node before blooms are walked
+                #[expect(
+                    clippy::expect_used,
+                    reason = "step 1 interned marks for every node before blooms are walked"
+                )]
                 let (index, marks) = found.expect("bloom for a node with no interned agent state");
                 let seen = marks.sealed_seen.entry(*local_id).or_insert(0);
                 if *seen == blooms.len() {
@@ -591,7 +596,8 @@ impl IncrementalMerger {
                         continue;
                     }
                     marks.mounts[local] = matches;
-                    // mint-lint: allow(L004) — the filter gained mounts since the previous merge: this copy is its republication
+                    // The filter gained mounts since the previous merge: this
+                    // copy is its republication.
                     let bloom = Arc::new(bloom.clone());
                     let node = Arc::clone(&self.nodes.list[index].name);
                     self.backend
@@ -607,10 +613,13 @@ impl IncrementalMerger {
         for (shard, marks) in shards.iter().zip(&mut self.marks) {
             let log = shard.backend.params_log();
             for (trace_id, block_index) in &log[marks.params_seen..] {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the params log only records blocks the backend just stored"
+                )]
                 let (node, params) = shard
                     .backend
                     .params_block(*trace_id, *block_index)
-                    // mint-lint: allow(L003) — the params log only records blocks the backend just stored
                     .expect("params log points at a stored block");
                 let index = self.nodes.find(node);
                 let remap = index.and_then(|index| marks.get(index));

@@ -26,7 +26,6 @@ struct Ring {
 }
 
 impl Ring {
-    // mint-lint: hot
     fn append(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             let (page, at) = (self.tail / PAGE_BYTES, self.tail % PAGE_BYTES);
@@ -53,7 +52,6 @@ impl Ring {
         })
     }
 
-    // mint-lint: hot
     fn read<const N: usize>(&self, at: usize) -> [u8; N] {
         let mut out = [0u8; N];
         let mut filled = 0;
@@ -246,7 +244,6 @@ impl ParamsBuffer {
     /// Should one trace id be buffered more than once (the same trace ingested
     /// again), each call takes the most recently pushed of its blocks and
     /// leaves the older ones, which still leave oldest-first by eviction.
-    // mint-lint: hot
     pub fn take(&mut self, trace_id: TraceId) -> Option<ParamBlock> {
         let (at, header) = self.find(trace_id)?;
         let block = self.copy_block(at, &header);
@@ -301,18 +298,15 @@ impl ParamsBuffer {
     }
 
     /// An exactly-sized copy of the block at `at`.
-    // mint-lint: hot
     fn copy_block(&self, at: usize, header: &BlockHeader) -> ParamBlock {
         ParamBlock::from_written(self.ring.chunks(at, header.block_len))
     }
 
-    // mint-lint: hot
     fn header_at(&self, at: usize) -> BlockHeader {
         BlockHeader::read(&self.ring.read(at))
     }
 
     /// Position and header of the block that ends at `end`, tombstone or not.
-    // mint-lint: hot
     fn block_before(&self, end: usize) -> Option<(usize, BlockHeader)> {
         if end <= self.ring.head {
             return None;
@@ -324,7 +318,6 @@ impl ParamsBuffer {
     }
 
     /// Position and header of the newest live block of `trace_id`.
-    // mint-lint: hot
     fn find(&self, trace_id: TraceId) -> Option<(usize, BlockHeader)> {
         let mut end = self.ring.tail;
         loop {

@@ -250,7 +250,6 @@ impl ParamsWriter {
 
     /// Fills in the length of the slot whose text runs from `at` to the end
     /// of what is written, `at - 1` being the byte kept for it.
-    // mint-lint: hot
     fn close_slot(&mut self, at: usize) {
         let len = self.bytes.len() - at;
         self.wire_size += str_var_size(&self.bytes[at..]);
@@ -357,7 +356,6 @@ impl ParamsWriter {
     }
 
     /// Closes the block: fills the header in and returns the block's bytes.
-    // mint-lint: hot
     pub(super) fn finish(&mut self) -> &[u8] {
         let encoded_len = (self.bytes.len() - HEADER_BYTES) as u64;
         self.bytes[SPAN_COUNT_AT..WIRE_SIZE_AT].copy_from_slice(&self.spans.to_le_bytes());
@@ -489,7 +487,6 @@ impl ParamBlock {
     }
 
     /// The spans' records, in the order they were written.
-    // mint-lint: hot
     pub fn spans(&self) -> SpanRecords<'_> {
         SpanRecords {
             rest: &self.bytes[HEADER_BYTES..],
@@ -559,7 +556,6 @@ pub struct SpanRecords<'a> {
 impl<'a> Iterator for SpanRecords<'a> {
     type Item = SpanRecord<'a>;
 
-    // mint-lint: hot
     fn next(&mut self) -> Option<SpanRecord<'a>> {
         let (record, rest) = SpanRecord::split_first(self.rest)?;
         self.rest = rest;
@@ -632,7 +628,6 @@ impl<'a> SpanRecord<'a> {
     }
 
     /// The per-attribute parameters, positionally.
-    // mint-lint: hot
     pub fn params(&self) -> Params<'a> {
         Params {
             rest: Cursor(&self.bytes[self.params_at..]),
@@ -762,7 +757,6 @@ impl<'a> Params<'a> {
 impl<'a> Iterator for Params<'a> {
     type Item = ParamRef<'a>;
 
-    // mint-lint: hot
     fn next(&mut self) -> Option<ParamRef<'a>> {
         let mut ahead = self.rest;
         let param = Params::read(&mut ahead)?;

@@ -6,6 +6,8 @@
 //! (approximate trace).  Mint provides two biased samplers designed for this
 //! paradigm, plus a deterministic head sampler for compatibility experiments.
 
+#![deny(clippy::disallowed_methods)]
+
 use crate::config::MintConfig;
 use crate::intern::BuildFxHasher;
 use serde::{Deserialize, Serialize};

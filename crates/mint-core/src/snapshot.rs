@@ -43,10 +43,15 @@
 //! pin this — every state a concurrent reader can see is byte-identical to
 //! some epoch-boundary snapshot of the serial oracle.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::backend::{MintBackend, QueryResult};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-// mint-lint: allow(L006) — the slot mutex below IS the sanctioned RCU publication point (see Publication)
+#[expect(
+    clippy::disallowed_types,
+    reason = "the slot mutex below is the sanctioned RCU publication point (see Publication)"
+)]
 use std::sync::{Arc, Mutex, MutexGuard};
 use trace_model::{TraceId, TraceView};
 
@@ -92,7 +97,10 @@ impl BackendSnapshot {
 #[derive(Debug)]
 struct Publication {
     version: AtomicU64,
-    // mint-lint: allow(L006) — writer-side swap point only; steady-state readers never take this lock (one atomic version load)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "writer-side swap point only; steady-state readers never take this lock (one atomic version load)"
+    )]
     slot: Mutex<Arc<BackendSnapshot>>,
 }
 
@@ -102,7 +110,10 @@ struct Publication {
 /// single `mem::replace`/`Arc::clone` statements, so a panic elsewhere on a
 /// holding thread cannot leave the value torn — the poisoned guard's
 /// contents are always valid to reuse.
-// mint-lint: allow(L006) — helper signature for the sanctioned writer-side slot above
+#[expect(
+    clippy::disallowed_types,
+    reason = "helper signature for the sanctioned writer-side slot above"
+)]
 fn lock_slot(slot: &Mutex<Arc<BackendSnapshot>>) -> MutexGuard<'_, Arc<BackendSnapshot>> {
     match slot.lock() {
         Ok(guard) => guard,
@@ -130,7 +141,10 @@ impl Default for SnapshotPublisher {
         SnapshotPublisher {
             publication: Arc::new(Publication {
                 version: AtomicU64::new(0),
-                // mint-lint: allow(L006) — constructing the sanctioned writer-side slot
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "constructing the sanctioned writer-side slot"
+                )]
                 slot: Mutex::new(Arc::new(BackendSnapshot {
                     backend: MintBackend::new(),
                     generation: 0,

@@ -296,7 +296,6 @@ impl StringAttributeParser {
 
     /// Candidate template ids for a value whose first token interned to
     /// `first`, in index order.
-    // mint-lint: hot
     fn candidates_for(&self, first: Option<u32>, out: &mut Vec<usize>) {
         if self.use_index {
             self.index.candidates_into(first, out);
@@ -318,7 +317,6 @@ impl StringAttributeParser {
     /// [`InternedTemplate::prefilter_admits`]) — an admitted-or-skipped
     /// sub-threshold best is observationally equivalent to the parser, which
     /// only branches on `score >= threshold`.
-    // mint-lint: hot
     fn best_match_interned(
         &self,
         ids: &[u32],
@@ -551,7 +549,10 @@ impl AttributeParser {
                 AttrPattern::Template { template_id }
             }
             (AttributeParser::Numeric(bucketer), value) if value.is_numeric() => {
-                // mint-lint: allow(L003) — the match guard `value.is_numeric()` makes as_f64 infallible here
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the match guard `value.is_numeric()` makes as_f64 infallible here"
+                )]
                 let v = value.as_f64().expect("numeric value");
                 let (bucket, offset) = bucketer.parse(v);
                 writer.push_num(bucket, offset);

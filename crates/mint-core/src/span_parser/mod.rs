@@ -494,13 +494,16 @@ impl SpanParser {
     /// The boolean is `true` when a new span pattern was created.  An owned
     /// convenience over [`Self::parse_into`]: the record is written into the
     /// parser's own writer and decoded.
+    #[expect(
+        clippy::expect_used,
+        reason = "`parse_into` has just closed the record `last_record` reads"
+    )]
     pub fn parse(&mut self, span: &Span) -> (PatternId, SpanParams, bool) {
         let mut writer = std::mem::take(&mut self.owned);
         writer.begin_block(span.trace_id());
         let (pattern_id, is_new) = self.parse_into(span, &mut writer);
         let params = writer.last_record().map(|record| record.to_params());
         self.owned = writer;
-        // mint-lint: allow(L003) — `parse_into` has just closed the record `last_record` reads
         (pattern_id, params.expect("a record was written"), is_new)
     }
 

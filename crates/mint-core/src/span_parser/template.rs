@@ -114,7 +114,6 @@ impl StringTemplate {
     ///
     /// Generic over borrowed (`&str`) and owned (`String`) tokens, and runs
     /// on the shared thread-local LCS scratch rows — no per-call allocation.
-    // mint-lint: hot
     pub fn similarity_to<S: AsRef<str>>(&self, tokens: &[S]) -> f64 {
         let denom = self.tokens.len().max(tokens.len());
         if denom == 0 {
@@ -182,7 +181,6 @@ impl StringTemplate {
     /// contents are appended to `vars` (one slot per variable, nothing
     /// appended on a mismatch) and `ranges` is working memory, so a caller
     /// that reuses both allocates nothing once they have grown.
-    // mint-lint: hot
     pub fn match_and_pack<S: AsRef<str>>(
         &self,
         tokens: &[S],
@@ -201,7 +199,6 @@ impl StringTemplate {
     /// Allocation-free core of the matcher: writes one `(start, end)` token
     /// range per variable slot into `spans` (cleared first) and reports
     /// whether the skeleton aligned.
-    // mint-lint: hot
     pub(crate) fn match_spans<T: TokenSeq + ?Sized>(
         &self,
         tokens: &T,
@@ -337,7 +334,6 @@ pub(crate) fn join_tokens<S: AsRef<str>>(tokens: &[S]) -> String {
 /// others staying empty.  Template `user <*> <*> end` reads `user a b end`
 /// as `["a b", ""]` (greedy) and `user end x end`, where greedy fails, as
 /// `["", "end x"]`.
-// mint-lint: hot
 pub(crate) fn match_slots(
     n: usize,
     m: usize,
@@ -351,7 +347,6 @@ pub(crate) fn match_slots(
 /// [`match_slots`]' first tier: each slot ends at the first occurrence of
 /// the next constant (or at the end of the value, after the last one).
 /// Sound but incomplete.
-// mint-lint: hot
 fn greedy_slots(
     n: usize,
     m: usize,
@@ -389,7 +384,6 @@ fn greedy_slots(
 
 /// [`match_slots`]' second tier: the constant runs placed leftmost, each
 /// slot run given the gap before the next one.  Exact.
-// mint-lint: hot
 fn segment_slots(
     n: usize,
     m: usize,

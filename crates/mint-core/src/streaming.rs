@@ -56,6 +56,8 @@
 //! template drift makes pattern-library bytes approximate (the merge's
 //! drift detector keeps the backend correct regardless).
 
+#![deny(clippy::disallowed_methods)]
+
 use crate::collector::{batch_duration_s, DeploymentReport, MintCollector, MintDeployment};
 use crate::config::MintConfig;
 use crate::merge::{IncrementalMerger, MergeStats};
@@ -290,6 +292,10 @@ impl StreamingDeployment {
     /// while the stream is still running.  This is the hook scenario-aware
     /// drivers (e.g. the chaos experiments) use to watch ingest progress
     /// live without polling [`epoch_stats`](StreamingDeployment::epoch_stats).
+    #[expect(
+        clippy::expect_used,
+        reason = "the shard states are collected back into `self.shards` after the collect loop, which either refills every slot or diverges via propagate_worker_panic"
+    )]
     pub fn process_stream_observed<I, F>(&mut self, source: I, mut observe: F) -> DeploymentReport
     where
         I: IntoIterator<Item = Trace>,
@@ -342,7 +348,10 @@ impl StreamingDeployment {
                 work_txs.push(work_tx);
                 state_rxs.push(state_rx);
                 resume_txs.push(resume_tx);
-                // mint-lint: allow(L003) — `states` is built as all-Some two lines up; nothing takes before spawn
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`states` is built as all-Some two lines up; nothing takes before spawn"
+                )]
                 let mut shard = state.take().expect("shard state present at spawn");
                 handles.push(scope.spawn(move || loop {
                     match work_rx.recv() {
@@ -434,6 +443,10 @@ impl StreamingDeployment {
                             Err(_) => propagate_worker_panic(work_txs, resume_txs, handles),
                         }
                     }
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the merge timer is reported in `EpochStats`; no decision reads it"
+                    )]
                     let merge_start = Instant::now();
                     let merge = self.merger.reconcile(&shards);
                     let stats = EpochStats {
@@ -464,9 +477,9 @@ impl StreamingDeployment {
             }
         });
 
+        // The `expect` below is the one this function's `#[expect]` names.
         self.shards = states
             .into_iter()
-            // mint-lint: allow(L003) — the collect loop above either refills every slot or diverges via propagate_worker_panic
             .map(|s| s.expect("every shard state collected"))
             .collect();
 
@@ -476,6 +489,10 @@ impl StreamingDeployment {
         // zero traces skips the duration/network accounting entirely:
         // `(min_start, max_end)` is still the empty sentinel and clamping it
         // to a 1 s batch would charge a phantom per-batch pattern upload.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the merge timer is reported in `EpochStats`; no decision reads it"
+        )]
         let merge_start = Instant::now();
         let merge = self.merger.reconcile(&self.shards);
         if traces_seen > 0 {

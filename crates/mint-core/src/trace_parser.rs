@@ -309,7 +309,8 @@ impl TopoPatternLibrary {
         self.total_matches += 1;
         entry.bloom.insert(&trace_id.as_u128());
         let flushed_bloom = if entry.bloom.is_full() {
-            // mint-lint: allow(L004) — a full filter leaves for upload once per `capacity` mounts; the copy is the upload
+            // A full filter leaves for upload once per `capacity` mounts;
+            // the copy is the upload.
             let full = entry.bloom.clone();
             entry.bloom.reset();
             self.flushed_blooms += 1;

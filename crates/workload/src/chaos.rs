@@ -27,6 +27,8 @@
 //! materializing a `ChaosSource` and re-streaming a fresh one yield
 //! byte-identical traces, which is what the differential tests rely on.
 
+#![deny(clippy::disallowed_methods)]
+
 use crate::faults::{FaultInjector, FaultType};
 use trace_model::{Trace, TraceId};
 

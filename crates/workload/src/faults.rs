@@ -16,6 +16,8 @@
 //! streaming counterpart built on this guarantee lives in
 //! [`chaos`](crate::chaos).
 
+#![deny(clippy::disallowed_methods)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

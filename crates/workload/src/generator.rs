@@ -1,5 +1,7 @@
 //! The trace generator: turns an [`Application`] description into traces.
 
+#![deny(clippy::disallowed_methods)]
+
 use crate::topology::{Application, CallSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

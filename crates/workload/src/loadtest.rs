@@ -6,6 +6,8 @@
 //! OT-Head and Mint.  This module provides the test plan; the experiment
 //! harness drives the tracing frameworks with it.
 
+#![deny(clippy::disallowed_methods)]
+
 use serde::{Deserialize, Serialize};
 
 /// One load test: a throughput level and an active API count.

@@ -11,6 +11,8 @@
 //! from segment to segment, so a multi-phase load plan produces one
 //! continuous timeline.
 
+#![deny(clippy::disallowed_methods)]
+
 use crate::generator::{GeneratorConfig, TraceGenerator};
 use crate::loadtest::LoadTestSpec;
 use crate::topology::Application;
